@@ -30,7 +30,8 @@ WORKLOADS = [
 ]
 
 
-def best_of(fn, args, repeat):
+def median_of(fn, args, repeat):
+    """Median wall time of `repeat` calls of fn(*args), and the result's length."""
     times = []
     for _ in range(repeat):
         started = time.perf_counter()
@@ -51,11 +52,11 @@ def main():
     print(header)
     print("-" * len(header))
     for label, func_name, p, q, radius in WORKLOADS:
-        py_time, count = best_of(
+        py_time, count = median_of(
             getattr(_kernels_py, func_name), (p, q, radius), args.repeat
         )
         if _kernels_c is not None:
-            c_time, c_count = best_of(
+            c_time, c_count = median_of(
                 getattr(_kernels_c, func_name), (p, q, radius), args.repeat
             )
             if c_count != count:

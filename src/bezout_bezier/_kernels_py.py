@@ -13,19 +13,11 @@ from math import ceil, floor, gcd, sqrt
 def bezout_normalized(r, s):
     """Return (a, b) with a*s - b*r == 1, 0 < a <= r and 0 <= b < s.
 
-    Extended Euclid gives some solution; shifting a by multiples of r
-    moves it into (0, r], which pins b into [0, s) automatically.
+    a is the inverse of s modulo r, taken in (0, r] (r when r == 1,
+    where the inverse is 0); that pins b = (a*s - 1) / r into [0, s).
     Assumes r, s positive and coprime.
     """
-    old_r, rem = s, r
-    old_u, u = 1, 0
-    while rem:
-        quot = old_r // rem
-        old_r, rem = rem, old_r - quot * rem
-        old_u, u = u, old_u - quot * u
-    a = old_u % r
-    if a == 0:
-        a = r
+    a = pow(s, -1, r) or r
     return a, (a * s - 1) // r
 
 
@@ -81,7 +73,8 @@ def envelope_scan(p, q, radius):
             ds = s - q
             if float(dr2 + ds * ds) > rr or gcd(r, s) != 1:
                 continue
-            a, b = bezout_normalized(r, s)
+            a = pow(s, -1, r) or r  # inline bezout_normalized
+            b = (a * s - 1) // r
             af = s - b
             bf = r - a
             t = 1.0 - float(a * r + b * s) / float(r * r + s * s)

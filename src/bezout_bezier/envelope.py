@@ -11,24 +11,22 @@ aggregates them into a report.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .errors import HypothesisError
+from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
-from .numtheory import BezoutCoeffs, Center, CoprimePair
-
-THREADS_ENV_VAR = "BEZOUT_BEZIER_THREADS"
-_DEFAULT_WORKERS = 4
+from .numtheory import INT_RANGE, BezoutCoeffs, Center, CoprimePair
 
 
 @dataclass(frozen=True, slots=True)
 class EnvelopeParams:
     """A center and tolerance satisfying the approximation hypotheses.
 
-    Requires p > 3, 0 <= q < p and 1 < epsilon <= ||(p, q)|| / 2.
+    Requires p > 3, 0 <= q < p and 1 < epsilon <= ||(p, q)|| / 2, and
+    p + epsilon <= 2**31 so that every neighbor stays in the supported
+    integer range (q < p makes the bound on q follow).
     """
 
     center: Center
@@ -50,6 +48,10 @@ class EnvelopeParams:
             raise HypothesisError(
                 f"requires epsilon <= ||(p,q)||/2 = {half_norm} "
                 f"(got epsilon = {eps})"
+            )
+        if p + eps > INT_RANGE:
+            raise DomainError(
+                f"requires p + epsilon <= 2**31 (got p = {p} and epsilon = {eps})"
             )
 
     @property
@@ -74,12 +76,123 @@ class EnvelopeRecord:
     degenerate: bool  # only (1, 1): the segment collapses to a point
 
 
+# Records built from rows that build_envelope has verified set their
+# fields directly: the constructors' __post_init__ checks would only
+# repeat the bulk verification, at several times the cost.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _pair(r: int, s: int) -> CoprimePair:
+    pair = _new(CoprimePair)
+    _set(pair, "r", r)
+    _set(pair, "s", s)
+    return pair
+
+
+def _coeffs(a: int, b: int, pair: CoprimePair) -> BezoutCoeffs:
+    coeffs = _new(BezoutCoeffs)
+    _set(coeffs, "a", a)
+    _set(coeffs, "b", b)
+    _set(coeffs, "pair", pair)
+    return coeffs
+
+
+def _point(x: float, y: float) -> Point2:
+    point = _new(Point2)
+    _set(point, "x", x)
+    _set(point, "y", y)
+    return point
+
+
+class EnvelopeRecords(Sequence):
+    """Immutable sequence of EnvelopeRecord over verified kernel rows.
+
+    Holds the kernel's tuples (r, s, a, b, a_flip, b_flip, t_contact,
+    gap_alpha, gap_beta, deviation), already checked by build_envelope;
+    a record is built only when it is accessed.
+    Compares equal to any sequence of equal records.
+    """
+
+    __slots__ = ("_rows", "_epsilon")
+
+    def __init__(self, rows: Sequence[tuple], epsilon: float):
+        self._rows = rows
+        self._epsilon = epsilon
+
+    def _record(self, row: tuple) -> EnvelopeRecord:
+        r, s, a, b, af, bf, t, gap_a, gap_b, dev = row
+        pair = _pair(r, s)
+        return EnvelopeRecord(
+            pair=pair,
+            coeffs=_coeffs(a, b, pair),
+            flipped=_coeffs(af, bf, _pair(s, r)),
+            segment=Segment(_point(float(a), float(b)), _point(float(af), float(bf))),
+            t_contact=t,
+            gap_alpha=gap_a,
+            gap_beta=gap_b,
+            deviation=dev,
+            bound_ok=dev < self._epsilon,
+            degenerate=r == s,
+        )
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EnvelopeRecords(self._rows[index], self._epsilon)
+        return self._record(self._rows[index])
+
+    def __iter__(self):
+        return map(self._record, self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, EnvelopeRecords) and self._epsilon == other._epsilon:
+            return self._rows == other._rows
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} envelope records>"
+
+
+def kernel_rows(records: Sequence[EnvelopeRecord]) -> Sequence[tuple]:
+    """The records as kernel row tuples, the shape EnvelopeRecords keeps.
+
+    build_envelope's records give their rows back as they are; any other
+    sequence of records is converted.
+    """
+    if isinstance(records, EnvelopeRecords):
+        return records._rows
+    return [
+        (
+            rec.pair.r,
+            rec.pair.s,
+            rec.coeffs.a,
+            rec.coeffs.b,
+            rec.flipped.a,
+            rec.flipped.b,
+            rec.t_contact,
+            rec.gap_alpha,
+            rec.gap_beta,
+            rec.deviation,
+        )
+        for rec in records
+    ]
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Aggregate outcome of one (center, epsilon) run."""
+    """Aggregate outcome of one (center, epsilon) run.
+
+    build_envelope fills ``records`` with an EnvelopeRecords; any other
+    sequence of EnvelopeRecord works for the writers too.
+    """
 
     params: EnvelopeParams
-    records: list[EnvelopeRecord]
+    records: Sequence[EnvelopeRecord]
     neighbor_count: int
     all_bounds_hold: bool
     max_deviation: float
@@ -148,45 +261,46 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
     """Measure every coprime neighbor within radius epsilon - 1.
 
     Records are sorted lexicographically by (r, s); an empty
-    enumeration yields a vacuously passing report.
+    enumeration yields a vacuously passing report.  One pass over the
+    kernel rows verifies, for every row, a*s - b*r == 1, the box
+    0 < a <= r, 0 <= b < s, the flip (a_flip, b_flip) == (s - b, r - a)
+    and r, s <= 2**31.  Those imply what the record types check one at
+    a time: gcd(r, s) == 1, r, s >= 1, the flipped pair's identity and
+    box, and finite (integer) segment endpoints.  A row that fails
+    raises DomainError naming its pair.
     """
     p, q = params.center.p, params.center.q
     eps = params.epsilon
     rows = kernels.envelope_scan(p, q, eps - 1.0)
-    records = []
     max_dev = 0.0
     max_gap = 0.0
     all_ok = True
-    for r, s, a, b, af, bf, t, gap_a, gap_b, dev in rows:
-        pair = CoprimePair(r, s)
-        ok = dev < eps
-        records.append(
-            EnvelopeRecord(
-                pair=pair,
-                coeffs=BezoutCoeffs(a, b, pair),
-                flipped=BezoutCoeffs(af, bf, CoprimePair(s, r)),
-                segment=Segment(
-                    Point2(float(a), float(b)), Point2(float(af), float(bf))
-                ),
-                t_contact=t,
-                gap_alpha=gap_a,
-                gap_beta=gap_b,
-                deviation=dev,
-                bound_ok=ok,
-                degenerate=r == s,
+    for r, s, a, b, af, bf, _, gap_a, gap_b, dev in rows:
+        if (
+            a * s - b * r != 1
+            or not (0 < a <= r and 0 <= b < s)
+            or af != s - b
+            or bf != r - a
+            or r > INT_RANGE
+            or s > INT_RANGE
+        ):
+            raise DomainError(
+                f"kernel row for ({r}, {s}) fails verification: B = ({a}, {b}), "
+                f"flip = ({af}, {bf}); needs a*s - b*r == 1, 0 < a <= r, "
+                f"0 <= b < s, flip == (s - b, r - a) and r, s <= 2**31"
             )
-        )
+        if not dev < eps:
+            all_ok = False
         if dev > max_dev:
             max_dev = dev
         if gap_a > max_gap:
             max_gap = gap_a
         if gap_b > max_gap:
             max_gap = gap_b
-        all_ok = all_ok and ok
     return VerificationReport(
         params=params,
-        records=records,
-        neighbor_count=len(records),
+        records=EnvelopeRecords(rows, eps),
+        neighbor_count=len(rows),
         all_bounds_hold=all_ok,
         max_deviation=max_dev,
         max_endpoint_gap=max_gap,
@@ -194,10 +308,10 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
 
 
 def sweep_one(center: Center, epsilon: float) -> SweepResult:
-    """Run one combination, capturing hypothesis violations as skips."""
+    """Run one combination, capturing invalid parameters as skips."""
     try:
         params = EnvelopeParams(center, epsilon)
-    except HypothesisError as exc:
+    except (DomainError, HypothesisError) as exc:
         return SweepResult(center, epsilon, None, str(exc))
     return SweepResult(center, epsilon, build_envelope(params), None)
 
@@ -205,27 +319,9 @@ def sweep_one(center: Center, epsilon: float) -> SweepResult:
 def audit_sweep(
     centers: list[Center], epsilons: list[float]
 ) -> list[SweepResult]:
-    """Run every (center, epsilon) combination.
+    """Run every (center, epsilon) combination, centers outermost.
 
     Invalid combinations come back as skips naming the violated
-    hypothesis.  Results are ordered by the input lists (centers
-    outermost) regardless of how many worker threads execute them.
+    hypothesis.
     """
-    combos = [(center, eps) for center in centers for eps in epsilons]
-    workers = _worker_count(len(combos))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda combo: sweep_one(*combo), combos))
-    return [sweep_one(center, eps) for center, eps in combos]
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Worker threads for a sweep; BEZOUT_BEZIER_THREADS caps the default."""
-    limit = min(_DEFAULT_WORKERS, os.cpu_count() or 1)
-    cap_text = os.environ.get(THREADS_ENV_VAR)
-    if cap_text:
-        try:
-            limit = min(limit, max(1, int(cap_text)))
-        except ValueError:
-            pass  # unparseable cap: keep the default
-    return max(1, min(limit, n_jobs))
+    return [sweep_one(center, eps) for center in centers for eps in epsilons]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .envelope import VerificationReport
+from .envelope import VerificationReport, kernel_rows
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
 
@@ -17,6 +17,9 @@ CSV_HEADER = (
     "r,s,a_rs,b_rs,a_sr,b_sr,t_contact,x1,y1,x2,y2,"
     "gap_alpha,gap_beta,deviation,bound_ok"
 )
+# The segment coordinates x1..y2 are the coefficients: integers below
+# 10**12, which ".12g" (format_real) prints exactly as "%d" does.
+_CSV_ROW = "%d,%d,%d,%d,%d,%d,%.12g,%d,%d,%d,%d,%.12g,%.12g,%.12g,%s"
 
 PADDING_FRACTION = 0.05
 
@@ -63,37 +66,24 @@ def to_csv(report: VerificationReport) -> str:
     """One row per record in lexicographic (r, s) order, LF-terminated.
 
     Integer columns exactly; reals with 12 significant digits; booleans
-    as true/false.
+    as true/false.  The segment columns are the coefficients and
+    bound_ok is deviation < epsilon.
     """
+    eps = report.params.epsilon
     lines = [CSV_HEADER]
-    for rec in report.records:
-        seg = rec.segment
-        lines.append(
-            ",".join(
-                (
-                    str(rec.pair.r),
-                    str(rec.pair.s),
-                    str(rec.coeffs.a),
-                    str(rec.coeffs.b),
-                    str(rec.flipped.a),
-                    str(rec.flipped.b),
-                    format_real(rec.t_contact),
-                    format_real(seg.start.x),
-                    format_real(seg.start.y),
-                    format_real(seg.end.x),
-                    format_real(seg.end.y),
-                    format_real(rec.gap_alpha),
-                    format_real(rec.gap_beta),
-                    format_real(rec.deviation),
-                    "true" if rec.bound_ok else "false",
-                )
-            )
-        )
+    lines += [
+        _CSV_ROW
+        % (r, s, a, b, af, bf, t, a, b, af, bf, gap_a, gap_b, dev,
+           "true" if dev < eps else "false")
+        for r, s, a, b, af, bf, t, gap_a, gap_b, dev in kernel_rows(report.records)
+    ]
     return "\n".join(lines) + "\n"
 
 
 def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) -> str:
     """Standalone SVG 1.1 document with one line element per record.
+
+    Each line runs from B(r, s) to B(s, r), the record's coefficients.
 
     The viewBox is the bounding box of all segment endpoints plus the
     three control points, padded 5% per side; the y-axis is flipped at
@@ -102,13 +92,14 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
     then the curve overlay last.
     """
     p, q = report.params.center.p, report.params.center.q
+    rows = kernel_rows(report.records)
     xs = [0.0, float(p), float(q)]
     ys = [0.0, float(q), float(p)]
-    for rec in report.records:
-        xs.extend((rec.segment.start.x, rec.segment.end.x))
-        ys.extend((rec.segment.start.y, rec.segment.end.y))
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    for row in rows:
+        xs.extend((row[2], row[4]))
+        ys.extend((row[3], row[5]))
+    x_lo, x_hi = float(min(xs)), float(max(xs))
+    y_lo, y_hi = float(min(ys)), float(max(ys))
     pad_x = PADDING_FRACTION * (x_hi - x_lo) or 1.0
     pad_y = PADDING_FRACTION * (y_hi - y_lo) or 1.0
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
@@ -134,15 +125,18 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
             f'viewBox="{fx(x_lo)} {fy(y_hi)} {_coord(width)} {_coord(height)}">'
         ),
     ]
-    for rec in report.records:
-        seg = rec.segment
-        # a collapsed segment still draws: round caps render it as a dot
-        cap = ' stroke-linecap="round"' if rec.degenerate else ""
-        lines.append(
-            f'<line x1="{fx(seg.start.x)}" y1="{fy(seg.start.y)}" '
-            f'x2="{fx(seg.end.x)}" y2="{fy(seg.end.y)}" '
-            f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"{cap}/>'
-        )
+    # Segment endpoints (a, b) and (a_flip, b_flip) are never negative
+    # (normalization box), so y = -b prints as "-" before b's digits,
+    # "-0" included, as _coord(-float(b)) does.
+    line = (
+        '<line x1="%.9g" y1="-%.9g" x2="%.9g" y2="-%.9g" '
+        f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>'
+    )
+    # a collapsed segment, only (1, 1), still draws: round caps make a dot
+    lines += [
+        line % (a, b, af, bf, ' stroke-linecap="round"' if r == s else "")
+        for r, s, a, b, af, bf, _, _, _, _ in rows
+    ]
     if opts.show_controls:
         marker_r = _coord(0.005 * diagonal)
         for cx, cy in ((float(p), float(q)), (0.0, 0.0), (float(q), float(p))):

@@ -159,6 +159,15 @@ class TestVerify:
         assert code == EXIT_DOMAIN
         assert "epsilon > 1" in err
 
+    def test_range_top_names_the_input(self, capsys):
+        # the disk around (2**31, 2**31 - 1) would hold s = 2**31 + 1
+        code, out, err = run(capsys, "verify", "2147483648", "2147483647", "3")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "p + epsilon <= 2**31" in err
+        assert "p = 2147483648" in err and "epsilon = 3.0" in err
+        assert "2147483649" not in err
+
     def test_bound_failure_exits_3(self, capsys, monkeypatch):
         # the bound has never failed on real inputs; force a failing
         # report to pin the exit-code contract
@@ -200,6 +209,20 @@ class TestAuditSweep:
         assert lines[2].startswith("4,7,2,,,,skipped: ")
         assert "q < p" in lines[2]
         assert lines[3].startswith("10,3,0.5,,,,skipped: ")
+
+    def test_out_of_range_row_is_skipped(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text(
+            "10 3 2\n2147483648 2147483647 3\n300 21 2\n", encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "audit-sweep", str(spec))
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[1].startswith("10,3,2,2,")
+        assert lines[2].startswith("2147483648,2147483647,3,,,,skipped: ")
+        assert "p + epsilon <= 2**31" in lines[2]
+        assert lines[3].startswith("300,21,2,1,")
 
     def test_bound_slack_column(self, capsys, tmp_path):
         spec = tmp_path / "sweep.txt"

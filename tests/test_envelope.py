@@ -4,9 +4,12 @@ import random
 import pytest
 
 from bezout_bezier import (
+    BezoutCoeffs,
     Center,
     CoprimePair,
+    DomainError,
     EnvelopeParams,
+    EnvelopeRecord,
     HypothesisError,
     Point2,
     QuadBezier,
@@ -23,6 +26,7 @@ from bezout_bezier import (
     tangent_segment,
 )
 
+from bezout_bezier import envelope
 from oracles import bezout_solutions_by_search
 
 
@@ -54,6 +58,13 @@ class TestEnvelopeParams:
     def test_epsilon_must_be_finite(self):
         with pytest.raises(HypothesisError):
             EnvelopeParams(Center(10, 3), float("nan"))
+
+    def test_range_top(self):
+        EnvelopeParams(Center(2**31 - 8, 2**31 - 9), 8.0)  # boundary is allowed
+        with pytest.raises(DomainError, match=r"p \+ epsilon <= 2\*\*31"):
+            EnvelopeParams(Center(2**31 - 8, 2**31 - 9), 8.5)
+        with pytest.raises(DomainError, match="p = 2147483648 and epsilon = 3"):
+            EnvelopeParams(Center(2**31, 2**31 - 1), 3.0)
 
 
 class TestBezoutSegment:
@@ -278,18 +289,95 @@ class TestAuditSweep:
         combos = [(r.center.p, r.center.q, r.epsilon) for r in results]
         assert combos == [(10, 3, 2.0), (10, 3, 3.0), (20, 7, 2.0), (20, 7, 3.0)]
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
+    def test_matches_sweep_one(self):
         centers = [Center(p, 3) for p in range(5, 15)]
         epsilons = [2.0, 2.5]
-        baseline = audit_sweep(centers, epsilons)
-        monkeypatch.setenv("BEZOUT_BEZIER_THREADS", "1")
-        serial = audit_sweep(centers, epsilons)
-        monkeypatch.setenv("BEZOUT_BEZIER_THREADS", "3")
-        threaded = audit_sweep(centers, epsilons)
-        assert serial == baseline
-        assert threaded == baseline
+        assert audit_sweep(centers, epsilons) == [
+            sweep_one(c, e) for c in centers for e in epsilons
+        ]
+
+    def test_out_of_range_skip(self):
+        (result,) = audit_sweep([Center(2**31, 2**31 - 1)], [3.0])
+        assert result.report is None
+        assert "p + epsilon <= 2**31" in result.skip_reason
 
     def test_sweep_one_matches_build_envelope(self):
         result = sweep_one(Center(12, 5), 2.0)
         direct = build_envelope(EnvelopeParams(Center(12, 5), 2.0))
         assert result.report == direct
+
+
+class TestBulkVerification:
+    """build_envelope checks every kernel row before keeping it."""
+
+    # B(10, 3) = (7, 2), B(3, 10) = (1, 3)
+    VALID = (10, 3, 7, 2, 1, 3, 0.5, 0.1, 0.1, 0.1)
+    TOP = 2**31 + 1  # (TOP, 1) and (1, TOP) are coprime with B = (1, 0), (1, TOP - 1)
+
+    def build_with_row(self, monkeypatch, row):
+        monkeypatch.setattr(envelope.kernels, "envelope_scan", lambda p, q, r: [row])
+        return build_envelope(EnvelopeParams(Center(10, 3), 2.0))
+
+    def test_valid_row_is_kept(self, monkeypatch):
+        report = self.build_with_row(monkeypatch, self.VALID)
+        assert report.neighbor_count == 1
+        assert report.records[0].coeffs == BezoutCoeffs(7, 2, CoprimePair(10, 3))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (10, 3, 6, 2, 1, 4, 0.5, 0.1, 0.1, 0.1),  # 6*3 - 2*10 != 1
+            (10, 3, 17, 5, -2, -7, 0.5, 0.1, 0.1, 0.1),  # identity holds, a > r
+            (10, 3, 7, 2, 1, 4, 0.5, 0.1, 0.1, 0.1),  # flip != (s - b, r - a)
+            (TOP, 1, 1, 0, 1, TOP - 1, 0.5, 0.1, 0.1, 0.1),  # r > 2**31
+            (1, TOP, 1, TOP - 1, 1, 0, 0.5, 0.1, 0.1, 0.1),  # s > 2**31
+        ],
+        ids=["identity", "box", "flip", "range-r", "range-s"],
+    )
+    def test_broken_row_raises(self, monkeypatch, row):
+        with pytest.raises(DomainError, match=rf"\({row[0]}, {row[1]}\)"):
+            self.build_with_row(monkeypatch, row)
+
+
+class TestEnvelopeRecords:
+    """report.records builds records on access from the verified rows."""
+
+    def test_sequence_protocol(self):
+        report = build_envelope(EnvelopeParams(Center(50, 29), 5.0))
+        records = report.records
+        listed = list(records)
+        assert len(records) == len(listed) == report.neighbor_count > 3
+        assert records[-1] == listed[-1]
+        assert records[1:3] == listed[1:3]
+        assert records[::-2] == listed[::-2]
+        assert records == listed and listed == records
+        assert records != listed[:-1]
+        assert records[1:] != listed[:-1]
+        with pytest.raises(IndexError):
+            records[len(listed)]
+        with pytest.raises(TypeError):
+            records[0] = listed[0]
+
+    def test_records_equal_validated_construction(self):
+        report = build_envelope(EnvelopeParams(Center(40, 17), 4.0))
+        for rec in report.records:
+            pair = CoprimePair(rec.pair.r, rec.pair.s)
+            coeffs = BezoutCoeffs(rec.coeffs.a, rec.coeffs.b, pair)
+            flipped = BezoutCoeffs(
+                rec.flipped.a, rec.flipped.b, CoprimePair(pair.s, pair.r)
+            )
+            assert rec == EnvelopeRecord(
+                pair=pair,
+                coeffs=coeffs,
+                flipped=flipped,
+                segment=Segment(
+                    Point2(float(coeffs.a), float(coeffs.b)),
+                    Point2(float(flipped.a), float(flipped.b)),
+                ),
+                t_contact=rec.t_contact,
+                gap_alpha=rec.gap_alpha,
+                gap_beta=rec.gap_beta,
+                deviation=rec.deviation,
+                bound_ok=rec.deviation < 4.0,
+                degenerate=pair.r == pair.s,
+            )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import xml.etree.ElementTree as ET
@@ -205,3 +206,51 @@ class TestRenderOptions:
     def test_invalid_stroke_fraction(self):
         with pytest.raises(DomainError):
             RenderOptions(stroke_width_fraction=0.0)
+
+
+class TestWriterBytes:
+    """Built reports and hand-built record lists write the same bytes.
+
+    The digests were recorded before the writers formatted straight from
+    the kernel rows, when every record was validated and written field
+    by field.  (10, 0) and (60, 0) hold s = 1 pairs, whose b = 0 must
+    print as y = -0 in the SVG.
+    """
+
+    OPTS = RenderOptions(show_curve=True, show_controls=True)
+    CASES = {
+        (10, 0, 3.0): (
+            "abb8f6862e57abee6ea6644a2589aaa574e9e35fa477044dbb2ec10e3a95eec7",
+            "d75fee64987f47ed836b14d257e6d0b9228614b2b2e125b73a1fa161c5e1f6a6",
+        ),
+        (60, 0, 2.0): (
+            "37d219e7ad16beb06230e92079832c31b542ef4d4aa9daac68c376e63c18bb2b",
+            "d3db481b7b77c22ffafd3c5fc4972a84f38b36e1e0448635e014160c456fdf61",
+        ),
+        (5000, 1234, 20.0): (
+            "e02dad781a15527f079b09feb4e46977372ea9e8956868641b5a3930a9dc020c",
+            "01778bcc137c1f193e5b723ecd4ad73db350e60b56a4947752747458e540aeac",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=str)
+    def test_built_and_hand_built_match_digests(self, case):
+        p, q, eps = case
+        report = build_envelope(EnvelopeParams(Center(p, q), eps))
+        hand_built = VerificationReport(
+            params=report.params,
+            records=list(report.records),
+            neighbor_count=report.neighbor_count,
+            all_bounds_hold=report.all_bounds_hold,
+            max_deviation=report.max_deviation,
+            max_endpoint_gap=report.max_endpoint_gap,
+        )
+        csv_text = to_csv(report)
+        svg_text = to_svg(report, self.OPTS)
+        assert to_csv(hand_built) == csv_text
+        assert to_svg(hand_built, self.OPTS) == svg_text
+        digests = tuple(
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for text in (csv_text, svg_text)
+        )
+        assert digests == self.CASES[case]
