@@ -7,12 +7,9 @@ replacement chord: the segment from the Bezout coefficients of (r, s)
 to those of (s, r).  This package enumerates those pairs, builds the
 segments, verifies the deviation bounds, and renders the figures.
 
-The hot loops live in a compiled extension when available
-(``compiled_kernels`` tells you which backend is active); a pure-Python
-fallback with identical behavior is selected otherwise.
+The package is pure Python; the hot loops live in ``_kernels_py``.
 """
 
-from ._backend import COMPILED as compiled_kernels
 from ._backend import backend_name
 from .envelope import (
     EnvelopeParams,
@@ -82,7 +79,6 @@ __all__ = [
     "bezout_coefficients",
     "bezout_segment",
     "build_envelope",
-    "compiled_kernels",
     "contact_parameter",
     "coprime_neighbors",
     "dist_to_origin_line",

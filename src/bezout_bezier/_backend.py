@@ -1,14 +1,7 @@
-"""Kernel backend selection: compiled extension if built, else pure Python."""
+"""The kernel module behind enumeration and verification."""
 
-try:
-    from . import _kernels as kernels
-
-    COMPILED = True
-except ImportError:  # extension not built; fall back
-    from . import _kernels_py as kernels
-
-    COMPILED = False
+from . import _kernels_py as kernels
 
 
 def backend_name() -> str:
-    return "compiled" if COMPILED else "python"
+    return "python"

@@ -1,10 +1,11 @@
-"""Pure-Python kernels: the hot loops behind enumeration and verification.
+"""The kernels: the hot loops behind enumeration and verification.
 
-This module mirrors the compiled extension ``_kernels`` function for
-function.  Operation order in the float arithmetic is kept identical in
-both implementations so that results agree bit for bit; parity is
-enforced by tests.  Callers validate inputs (positive, coprime where
-required, within the supported integer range), so the kernels do not.
+``envelope_scan`` inlines the contact and gap formulas of
+``envelope.contact_parameter`` and ``envelope.endpoint_gaps`` with the
+same operation order, so that its rows agree with them bit for bit;
+tests/test_kernels.py enforces this.  Callers validate inputs
+(positive, coprime where required, within the supported integer range),
+so the kernels do not.
 """
 
 from math import ceil, floor, gcd, sqrt
@@ -24,8 +25,8 @@ def bezout_normalized(r, s):
 def coprime_pairs_in_disk(p, q, radius):
     """All positive coprime (r, s) with ||(r,s)-(p,q)|| <= radius.
 
-    Lexicographic (r, s) order.  Disk membership is decided on squared
-    distances cast to float, matching the compiled kernel exactly.
+    Lexicographic (r, s) order.  Disk membership is decided on the exact
+    integer squared distance cast to float, as in ``envelope_scan``.
     """
     if radius < 0.0:
         return []

@@ -226,7 +226,11 @@ def cmd_envelope(args) -> int:
         text = to_csv(report)
     else:
         text = _report_text(report)
-    _emit(text, args.output)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from ._backend import kernels
 from .errors import DomainError
 
-# Inputs are capped so products such as a*q stay well inside signed
-# 64-bit range in the compiled kernels.
+# The documented supported range: Center, EnvelopeParams and
+# coprime_neighbors refuse inputs whose values would exceed it.
 INT_RANGE = 2**31
 
 

@@ -138,6 +138,16 @@ class TestEnvelope:
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("name", [".", "missing/out.csv"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, name):
+        target = tmp_path / name
+        code, out, err = run(
+            capsys, "envelope", "300", "21", "2", "--output", str(target)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"error: cannot write {target}: " in err
+
 
 class TestVerify:
     def test_reference_center(self, capsys):

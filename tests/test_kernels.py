@@ -1,17 +1,13 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones
-bit for bit (same operation order, contraction disabled in the build)."""
+"""The kernels against the brute-force oracles and exact arithmetic."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from bezout_bezier import _kernels_py
-
-compiled = pytest.importorskip(
-    "bezout_bezier._kernels", reason="compiled kernels not built"
-)
-
+from oracles import neighbors_by_bbox_scan
 
 CASES = [
     (300, 21, 1.0),
@@ -25,57 +21,70 @@ CASES = [
 ]
 
 
+def check_scan_row(row):
+    r, s, a, b, af, bf, t, _gap_a, _gap_b, _dev = row
+    assert a * s - b * r == 1
+    assert 0 < a <= r
+    assert 0 <= b < s
+    assert (af, bf) == (s - b, r - a)
+    assert 0.0 < t < 1.0
+
+
 @pytest.mark.parametrize("p, q, radius", CASES)
-def test_disk_enumeration_identical(p, q, radius):
-    assert compiled.coprime_pairs_in_disk(p, q, radius) == (
-        _kernels_py.coprime_pairs_in_disk(p, q, radius)
+def test_disk_enumeration_matches_oracle(p, q, radius):
+    assert _kernels_py.coprime_pairs_in_disk(p, q, radius) == (
+        neighbors_by_bbox_scan(p, q, radius)
     )
 
 
 @pytest.mark.parametrize("p, q, radius", CASES)
-def test_envelope_scan_identical(p, q, radius):
-    fast = compiled.envelope_scan(p, q, radius)
-    slow = _kernels_py.envelope_scan(p, q, radius)
-    assert len(fast) == len(slow)
-    for row_fast, row_slow in zip(fast, slow):
-        # exact: integers and bit-identical floats
-        assert row_fast == row_slow
+def test_envelope_scan_rows(p, q, radius):
+    rows = _kernels_py.envelope_scan(p, q, radius)
+    assert [(row[0], row[1]) for row in rows] == neighbors_by_bbox_scan(p, q, radius)
+    for row in rows:
+        check_scan_row(row)
 
 
-def test_bezout_identical_random():
-    rng = random.Random(31)
-    seen = 0
-    while seen < 5000:
-        r = rng.randint(1, 10**6)
-        s = rng.randint(1, 10**6)
-        if math.gcd(r, s) != 1:
-            continue
-        seen += 1
-        assert compiled.bezout_normalized(r, s) == (
-            _kernels_py.bezout_normalized(r, s)
-        )
+def test_envelope_scan_range_top():
+    # every neighbor sits just below 2**31; the integer parts must be
+    # exact and the floats must stay within rounding of exact rationals
+    p, q, radius = 2**31 - 2, 2**31 - 7, 2.0
+    rows = _kernels_py.envelope_scan(p, q, radius)
+    assert [(row[0], row[1]) for row in rows] == neighbors_by_bbox_scan(p, q, radius)
+    assert len(rows) == 8
+    tol = 8 * p * 2.0**-53  # a few roundings of values near p
+    for row in rows:
+        check_scan_row(row)
+        r, s, a, b, af, bf, t, gap_a, gap_b, dev = row
+        t = Fraction(t)
+        assert abs(t - (1 - Fraction(a * r + b * s, r * r + s * s))) <= 2.0**-52
+        u = 1 - t
+        exact_gap_a = math.sqrt((a - u * p) ** 2 + (b - u * q) ** 2)
+        exact_gap_b = math.sqrt((af - t * q) ** 2 + (bf - t * p) ** 2)
+        dx = u * a + t * af - (u * u * p + t * t * q)
+        dy = u * b + t * bf - (u * u * q + t * t * p)
+        assert abs(gap_a - exact_gap_a) <= tol
+        assert abs(gap_b - exact_gap_b) <= tol
+        assert abs(dev - math.sqrt(dx * dx + dy * dy)) <= tol
 
 
 def test_bezout_box_and_identity_random():
     rng = random.Random(37)
-    for backend in (compiled, _kernels_py):
-        seen = 0
-        while seen < 2000:
-            r = rng.randint(1, 10**9)
-            s = rng.randint(1, 10**9)
-            if math.gcd(r, s) != 1:
-                continue
-            seen += 1
-            a, b = backend.bezout_normalized(r, s)
-            assert a * s - b * r == 1
-            assert 0 < a <= r
-            assert 0 <= b < s
+    seen = 0
+    while seen < 2000:
+        r = rng.randint(1, 10**9)
+        s = rng.randint(1, 10**9)
+        if math.gcd(r, s) != 1:
+            continue
+        seen += 1
+        a, b = _kernels_py.bezout_normalized(r, s)
+        assert a * s - b * r == 1
+        assert 0 < a <= r
+        assert 0 <= b < s
 
 
 def test_negative_radius_yields_empty():
-    assert compiled.coprime_pairs_in_disk(10, 10, -1.0) == []
     assert _kernels_py.coprime_pairs_in_disk(10, 10, -1.0) == []
-    assert compiled.envelope_scan(10, 3, -0.5) == []
     assert _kernels_py.envelope_scan(10, 3, -0.5) == []
 
 
@@ -91,11 +100,10 @@ def test_scan_tuples_match_single_call_ops():
 
     p, q, eps = 50, 29, 5.0
     params = EnvelopeParams(Center(p, q), eps)
-    for backend in (compiled, _kernels_py):
-        for r, s, a, b, af, bf, t, gap_a, gap_b, _dev in backend.envelope_scan(
-            p, q, eps - 1.0
-        ):
-            pair = CoprimePair(r, s)
-            assert (af, bf) == (s - b, r - a)
-            assert contact_parameter(pair) == t
-            assert endpoint_gaps(pair, params) == (gap_a, gap_b)
+    for r, s, a, b, af, bf, t, gap_a, gap_b, _dev in _kernels_py.envelope_scan(
+        p, q, eps - 1.0
+    ):
+        pair = CoprimePair(r, s)
+        assert (af, bf) == (s - b, r - a)
+        assert contact_parameter(pair) == t
+        assert endpoint_gaps(pair, params) == (gap_a, gap_b)
