@@ -1,9 +1,23 @@
 """The kernels: the hot loops behind enumeration and verification.
 
+Both scans walk the disk row by row: ``_disk_rows`` gathers the coprime
+s of each row r with one comprehension, so the disk predicate exists in
+one place.  ``envelope_scan`` then needs s**-1 mod r for every s of the
+row (the normalized coefficient a); ``_inverses_mod`` gets them all
+from one ``pow(x, -1, r)`` by batch inversion: prefix products mod r,
+one inverse of the last product, and a backward pass that peels the
+inverses off one at a time.  That is three small multiplications per
+pair instead of one extended Euclid per pair.
+
 ``envelope_scan`` inlines the contact and gap formulas of
 ``envelope.contact_parameter`` and ``envelope.endpoint_gaps`` with the
 same operation order, so that its rows agree with them bit for bit;
-tests/test_kernels.py enforces this.  Callers validate inputs
+tests/test_kernels.py enforces this.  The integers it feeds into the
+float formulas are converted with ``float()`` once, up front: every one
+is below 2**53, so the conversion is exact and is the same one that the
+mixed int/float operations would make implicitly; only the place of the
+conversion moves, never an IEEE operation.  (All-float operands also
+let CPython specialise the arithmetic.)  Callers validate inputs
 (positive, coprime where required, within the supported integer range),
 so the kernels do not.
 """
@@ -22,6 +36,45 @@ def bezout_normalized(r, s):
     return a, (a * s - 1) // r
 
 
+def _disk_rows(p, q, radius):
+    """(r, [s, ...]) for every row r of the disk that holds a coprime pair.
+
+    The s of a row are those of the bounding box with gcd(r, s) == 1
+    and (r, s) in the disk, in increasing order.  Disk membership is
+    decided on the exact integer squared distance cast to float.  Every
+    row shares the column of (s, (s - q)**2), so it is built once.
+    """
+    rr = radius * radius
+    column = [
+        (s, (s - q) * (s - q))
+        for s in range(max(1, ceil(q - radius)), floor(q + radius) + 1)
+    ]
+    for r in range(max(1, ceil(p - radius)), floor(p + radius) + 1):
+        dr2 = (r - p) * (r - p)
+        row = [s for s, ds2 in column if float(dr2 + ds2) <= rr and gcd(r, s) == 1]
+        if row:
+            yield r, row
+
+
+def _inverses_mod(xs, r):
+    """[x**-1 mod r for x in xs], each x coprime to r, by batch inversion.
+
+    All zeros when r == 1.
+    """
+    prefix = []
+    acc = 1
+    for x in xs:
+        acc = acc * x % r
+        prefix.append(acc)
+    inv = pow(acc, -1, r)  # (x_0 * ... * x_k)**-1, k = len(xs) - 1
+    out = prefix  # overwritten from the back, each slot after its last read
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % r
+        inv = inv * xs[i] % r
+    out[0] = inv
+    return out
+
+
 def coprime_pairs_in_disk(p, q, radius):
     """All positive coprime (r, s) with ||(r,s)-(p,q)|| <= radius.
 
@@ -30,19 +83,7 @@ def coprime_pairs_in_disk(p, q, radius):
     """
     if radius < 0.0:
         return []
-    rr = radius * radius
-    r_lo = max(1, ceil(p - radius))
-    r_hi = floor(p + radius)
-    s_lo = max(1, ceil(q - radius))
-    s_hi = floor(q + radius)
-    out = []
-    for r in range(r_lo, r_hi + 1):
-        dr2 = (r - p) * (r - p)
-        for s in range(s_lo, s_hi + 1):
-            ds = s - q
-            if float(dr2 + ds * ds) <= rr and gcd(r, s) == 1:
-                out.append((r, s))
-    return out
+    return [(r, s) for r, row in _disk_rows(p, q, radius) for s in row]
 
 
 def envelope_scan(p, q, radius):
@@ -62,34 +103,34 @@ def envelope_scan(p, q, radius):
     """
     if radius < 0.0:
         return []
-    rr = radius * radius
-    r_lo = max(1, ceil(p - radius))
-    r_hi = floor(p + radius)
-    s_lo = max(1, ceil(q - radius))
-    s_hi = floor(q + radius)
+    pf = float(p)
+    qf = float(q)
     out = []
-    for r in range(r_lo, r_hi + 1):
-        dr2 = (r - p) * (r - p)
-        for s in range(s_lo, s_hi + 1):
-            ds = s - q
-            if float(dr2 + ds * ds) > rr or gcd(r, s) != 1:
-                continue
-            a = pow(s, -1, r) or r  # inline bezout_normalized
+    for r, row in _disk_rows(p, q, radius):
+        r2 = r * r
+        for s, inv in zip(row, _inverses_mod(row, r)):
+            a = inv or r  # as bezout_normalized
             b = (a * s - 1) // r
             af = s - b
             bf = r - a
-            t = 1.0 - float(a * r + b * s) / float(r * r + s * s)
+            t = 1.0 - float(a * r + b * s) / float(r2 + s * s)
             u = 1.0 - t
-            gax = a - u * p
-            gay = b - u * q
-            gbx = af - t * q
-            gby = bf - t * p
+            fa = float(a)
+            fb = float(b)
+            faf = float(af)
+            fbf = float(bf)
+            gax = fa - u * pf
+            gay = fb - u * qf
+            gbx = faf - t * qf
+            gby = fbf - t * pf
             gap_a = sqrt(gax * gax + gay * gay)
             gap_b = sqrt(gbx * gbx + gby * gby)
-            lx = u * a + t * af
-            ly = u * b + t * bf
-            cx = u * u * p + t * t * q
-            cy = u * u * q + t * t * p
+            lx = u * fa + t * faf
+            ly = u * fb + t * fbf
+            uu = u * u
+            tt = t * t
+            cx = uu * pf + tt * qf
+            cy = uu * qf + tt * pf
             dx = lx - cx
             dy = ly - cy
             dev = sqrt(dx * dx + dy * dy)

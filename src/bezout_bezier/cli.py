@@ -3,12 +3,15 @@
 Subcommands: bezout, neighbors, envelope, verify, audit-sweep.
 Exit codes: 0 success, 1 usage or parse error, 2 domain or hypothesis
 violation, 3 verification failure (a measured deviation at or above
-epsilon, which would falsify the approximation bound).
+epsilon, which would falsify the approximation bound).  A reader that
+closes stdout before the output ends (``neighbors ... | head -1``)
+gives exit code 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -171,9 +174,9 @@ def cmd_neighbors(args) -> int:
         pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
     except DomainError as exc:
         return _fail_domain(exc)
-    for pair in pairs:
-        print(f"({pair.r},{pair.s})")
-    print(f"count: {len(pairs)}")
+    lines = [f"({pair.r},{pair.s})" for pair in pairs]
+    lines.append(f"count: {len(pairs)}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -199,14 +202,6 @@ def _report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: Path | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
 def cmd_envelope(args) -> int:
     try:
         params = EnvelopeParams(Center(args.p, args.q), args.epsilon)
@@ -226,11 +221,15 @@ def cmd_envelope(args) -> int:
         text = to_csv(report)
     else:
         text = _report_text(report)
-    try:
-        _emit(text, args.output)
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
 
 
@@ -309,9 +308,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (DomainError, HypothesisError) as exc:
         return _fail_domain(exc)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so
+        # that the final flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

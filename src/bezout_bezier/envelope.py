@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from ._backend import kernels
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
-from .numtheory import INT_RANGE, BezoutCoeffs, Center, CoprimePair
+from .numtheory import (
+    INT_RANGE,
+    BezoutCoeffs,
+    Center,
+    CoprimePair,
+    _verified_pair,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,13 +89,6 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _pair(r: int, s: int) -> CoprimePair:
-    pair = _new(CoprimePair)
-    _set(pair, "r", r)
-    _set(pair, "s", s)
-    return pair
-
-
 def _coeffs(a: int, b: int, pair: CoprimePair) -> BezoutCoeffs:
     coeffs = _new(BezoutCoeffs)
     _set(coeffs, "a", a)
@@ -122,11 +121,11 @@ class EnvelopeRecords(Sequence):
 
     def _record(self, row: tuple) -> EnvelopeRecord:
         r, s, a, b, af, bf, t, gap_a, gap_b, dev = row
-        pair = _pair(r, s)
+        pair = _verified_pair(r, s)
         return EnvelopeRecord(
             pair=pair,
             coeffs=_coeffs(a, b, pair),
-            flipped=_coeffs(af, bf, _pair(s, r)),
+            flipped=_coeffs(af, bf, _verified_pair(s, r)),
             segment=Segment(_point(float(a), float(b)), _point(float(af), float(bf))),
             t_contact=t,
             gap_alpha=gap_a,

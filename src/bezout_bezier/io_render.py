@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .envelope import VerificationReport, kernel_rows
 from .errors import DomainError
@@ -93,13 +94,16 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
     """
     p, q = report.params.center.p, report.params.center.q
     rows = kernel_rows(report.records)
-    xs = [0.0, float(p), float(q)]
-    ys = [0.0, float(q), float(p)]
-    for row in rows:
-        xs.extend((row[2], row[4]))
-        ys.extend((row[3], row[5]))
-    x_lo, x_hi = float(min(xs)), float(max(xs))
-    y_lo, y_hi = float(min(ys)), float(max(ys))
+    # The box starts at the origin: it is a control point, and every
+    # other coordinate is >= 0 (p > q >= 0, and the normalization box
+    # keeps all coefficients >= 0).  Only the maxima need a pass, one
+    # per coefficient column.
+    a_max, b_max, af_max, bf_max = (
+        max(map(itemgetter(i), rows), default=0) for i in (2, 3, 4, 5)
+    )
+    x_lo = y_lo = 0.0
+    x_hi = float(max(p, q, a_max, af_max))
+    y_hi = float(max(p, q, b_max, bf_max))
     pad_x = PADDING_FRACTION * (x_hi - x_lo) or 1.0
     pad_y = PADDING_FRACTION * (y_hi - y_lo) or 1.0
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
@@ -127,9 +131,13 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
     ]
     # Segment endpoints (a, b) and (a_flip, b_flip) are never negative
     # (normalization box), so y = -b prints as "-" before b's digits,
-    # "-0" included, as _coord(-float(b)) does.
+    # "-0" included, as _coord(-float(b)) does.  They are integers, and
+    # below 10**9 "%.9g" prints an integer with the same digits as "%d";
+    # at or above it "%.9g" switches to an exponent, so a document with
+    # such a coordinate keeps "%.9g" for all of its lines.
+    num = "%d" if max(a_max, b_max, af_max, bf_max) < 10**9 else "%.9g"
     line = (
-        '<line x1="%.9g" y1="-%.9g" x2="%.9g" y2="-%.9g" '
+        f'<line x1="{num}" y1="-{num}" x2="{num}" y2="-{num}" '
         f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>'
     )
     # a collapsed segment, only (1, 1), still draws: round caps make a dot

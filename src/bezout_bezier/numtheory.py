@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, starmap
 
 from ._backend import kernels
 from .errors import DomainError
@@ -48,6 +49,23 @@ class CoprimePair:
 
     def flipped(self) -> "CoprimePair":
         return CoprimePair(self.s, self.r)
+
+
+# The slots' own setters: they bypass the frozen __setattr__.
+_set_r = CoprimePair.r.__set__
+_set_s = CoprimePair.s.__set__
+
+
+def _verified_pair(r: int, s: int) -> CoprimePair:
+    """A CoprimePair from entries already verified in bulk.
+
+    Sets the fields directly: __post_init__ would only repeat the bulk
+    check, at several times the cost.
+    """
+    pair = object.__new__(CoprimePair)
+    _set_r(pair, r)
+    _set_s(pair, s)
+    return pair
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +152,10 @@ def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     """All coprime pairs (r, s), r, s >= 1, within `radius` of the center.
 
     Sorted lexicographically by (r, s).  The center itself is included
-    when it qualifies.  An empty list is a valid result.
+    when it qualifies.  An empty list is a valid result.  The kernel's
+    pairs are checked in bulk for everything CoprimePair checks one at a
+    time (entries in [1, 2**31], gcd 1), at C speed; a pair that fails
+    raises DomainError naming it.
     """
     radius = float(radius)
     if math.isnan(radius):
@@ -144,4 +165,17 @@ def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     if center.p + radius > INT_RANGE or center.q + radius > INT_RANGE:
         raise DomainError("neighborhood extends beyond the supported range 2**31")
     pairs = kernels.coprime_pairs_in_disk(center.p, center.q, radius)
-    return [CoprimePair(r, s) for r, s in pairs]
+    entries = list(chain.from_iterable(pairs))
+    if entries and (
+        min(entries) < 1
+        or max(entries) > INT_RANGE
+        or max(starmap(math.gcd, pairs)) != 1
+    ):
+        for r, s in pairs:
+            try:
+                CoprimePair(r, s)
+            except DomainError as exc:
+                raise DomainError(
+                    f"kernel pair ({r}, {s}) fails verification: {exc}"
+                ) from None
+    return [_verified_pair(r, s) for r, s in pairs]

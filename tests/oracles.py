@@ -60,6 +60,50 @@ def neighbors_by_bbox_scan(p, q, radius):
     return out
 
 
+def envelope_scan_by_pairs(p, q, radius):
+    """The per-pair envelope scan, one modular inverse per pair.
+
+    A frozen copy of the loop that ``_kernels_py.envelope_scan`` ran
+    before it inverted each row in one batch; the kernel's rows must
+    equal these, floats included, bit for bit.
+    """
+    if radius < 0.0:
+        return []
+    rr = radius * radius
+    r_lo = max(1, math.ceil(p - radius))
+    r_hi = math.floor(p + radius)
+    s_lo = max(1, math.ceil(q - radius))
+    s_hi = math.floor(q + radius)
+    out = []
+    for r in range(r_lo, r_hi + 1):
+        dr2 = (r - p) * (r - p)
+        for s in range(s_lo, s_hi + 1):
+            ds = s - q
+            if float(dr2 + ds * ds) > rr or math.gcd(r, s) != 1:
+                continue
+            a = pow(s, -1, r) or r
+            b = (a * s - 1) // r
+            af = s - b
+            bf = r - a
+            t = 1.0 - float(a * r + b * s) / float(r * r + s * s)
+            u = 1.0 - t
+            gax = a - u * p
+            gay = b - u * q
+            gbx = af - t * q
+            gby = bf - t * p
+            gap_a = math.sqrt(gax * gax + gay * gay)
+            gap_b = math.sqrt(gbx * gbx + gby * gby)
+            lx = u * a + t * af
+            ly = u * b + t * bf
+            cx = u * u * p + t * t * q
+            cy = u * u * q + t * t * p
+            dx = lx - cx
+            dy = ly - cy
+            dev = math.sqrt(dx * dx + dy * dy)
+            out.append((r, s, a, b, af, bf, t, gap_a, gap_b, dev))
+    return out
+
+
 def coprime_pairs_upto(limit):
     """All coprime (p, q) with 1 <= p, q <= limit, row by row."""
     for p in range(1, limit + 1):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -62,6 +63,26 @@ class TestNeighbors:
         lines = out.splitlines()
         assert lines[-1] == "count: 4"
         assert lines[:-1] == ["(4,5)", "(5,4)", "(5,6)", "(6,5)"]
+
+    def test_closed_pipe_exits_quietly(self):
+        # radius 200 prints about 1 MB, more than a pipe holds, so the
+        # write meets the closed pipe.  PYTHONUNBUFFERED is dropped: with
+        # it, a write cut short by the closed pipe returns a short count
+        # instead of raising, and the run would exit 0.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bezout_bezier.cli"]
+            + ["neighbors", "100000", "30000", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"(99801,29981)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_USAGE
+        assert b"Traceback" not in err
 
     def test_negative_radius_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

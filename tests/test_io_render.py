@@ -143,6 +143,37 @@ class TestToSvg:
         raw_w = max(p[0] for p in pts) - min(p[0] for p in pts)
         assert w == pytest.approx(1.1 * raw_w, rel=1e-6)
 
+    def test_viewbox_covers_hand_built_records(self):
+        # a record far from the center: B(3, 50) = (2, 33) and its flip
+        # (17, 1) set the box, not the control points (10, 3) and (3, 10)
+        pair = CoprimePair(3, 50)
+        coeffs = BezoutCoeffs(2, 33, pair)
+        flipped = BezoutCoeffs(17, 1, CoprimePair(50, 3))
+        record = EnvelopeRecord(
+            pair=pair,
+            coeffs=coeffs,
+            flipped=flipped,
+            segment=Segment(Point2(2.0, 33.0), Point2(17.0, 1.0)),
+            t_contact=0.5,
+            gap_alpha=0.1,
+            gap_beta=0.1,
+            deviation=0.1,
+            bound_ok=True,
+            degenerate=False,
+        )
+        report = VerificationReport(
+            params=EnvelopeParams(Center(10, 3), 2.0),
+            records=[record],
+            neighbor_count=1,
+            all_bounds_hold=True,
+            max_deviation=0.1,
+            max_endpoint_gap=0.1,
+        )
+        root = ET.fromstring(to_svg(report))
+        x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
+        assert (x0, x0 + w) == pytest.approx((-0.85, 17.85))
+        assert (y0, y0 + h) == pytest.approx((-34.65, 1.65))
+
     def test_y_axis_points_up(self):
         # the high-y control point (q, p) must land at a *smaller* svg y
         # than the origin
@@ -214,7 +245,11 @@ class TestWriterBytes:
     The digests were recorded before the writers formatted straight from
     the kernel rows, when every record was validated and written field
     by field.  (10, 0) and (60, 0) hold s = 1 pairs, whose b = 0 must
-    print as y = -0 in the SVG.
+    print as y = -0 in the SVG.  The last two were recorded before the
+    SVG writer took its box from column maxima and printed coordinates
+    below 10**9 with "%d": near 2**31 the coefficients reach 10**9 and
+    the lines keep "%.9g", and (300, 21) with epsilon 1.5 has no
+    records at all.
     """
 
     OPTS = RenderOptions(show_curve=True, show_controls=True)
@@ -230,6 +265,14 @@ class TestWriterBytes:
         (5000, 1234, 20.0): (
             "e02dad781a15527f079b09feb4e46977372ea9e8956868641b5a3930a9dc020c",
             "01778bcc137c1f193e5b723ecd4ad73db350e60b56a4947752747458e540aeac",
+        ),
+        (2**31 - 10, 2**31 - 15, 3.0): (
+            "a05048a20b5df4b715c4b974bb75d5f86aac2b58b14a392df8b0fc97567a4b4d",
+            "7e5717faa4eccd0736ccfdfe5b292b784b9fc6a017248b25599e87e1ab21c2c7",
+        ),
+        (300, 21, 1.5): (
+            "7592efd5a08c47a5f859761fff9d3e4519b16fad93d7109069feba92e951bb6f",
+            "e2535f34e6a9009534fe1cf26b37514244f673bf7fad2ed84e38ff75219bb972",
         ),
     }
 

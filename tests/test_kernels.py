@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bezout_bezier import _kernels_py
-from oracles import neighbors_by_bbox_scan
+from oracles import envelope_scan_by_pairs, neighbors_by_bbox_scan
 
 CASES = [
     (300, 21, 1.0),
@@ -31,18 +31,52 @@ def check_scan_row(row):
 
 
 @pytest.mark.parametrize("p, q, radius", CASES)
+def test_envelope_scan_rows(p, q, radius):
+    rows = _kernels_py.envelope_scan(p, q, radius)
+    assert [(row[0], row[1]) for row in rows] == neighbors_by_bbox_scan(p, q, radius)
+    for row in rows:
+        check_scan_row(row)
+
+
+# Scans beyond CASES where the batch inversion meets its edge cases:
+# rows with r == 1 (every inverse is 0), a row whose only coprime s is
+# 5 (r = 6 in the disk around (6, 4)), the range top and the big disk.
+PARITY_CASES = CASES + [
+    (2, 1, 1.5),
+    (6, 4, 1.0),
+    (2**31 - 2, 2**31 - 7, 2.0),
+    (100000, 30000, 199.0),
+]
+
+
+def random_small_scans(n, seed=41):
+    rng = random.Random(seed)
+    for _ in range(n):
+        p = int(10 ** rng.uniform(0, 9))
+        yield p, rng.randint(0, p), rng.uniform(0, 7)
+
+
+@pytest.mark.parametrize("p, q, radius", PARITY_CASES)
+def test_envelope_scan_equals_per_pair_loop(p, q, radius):
+    assert _kernels_py.envelope_scan(p, q, radius) == envelope_scan_by_pairs(
+        p, q, radius
+    )
+
+
+@pytest.mark.parametrize("p, q, radius", PARITY_CASES)
 def test_disk_enumeration_matches_oracle(p, q, radius):
     assert _kernels_py.coprime_pairs_in_disk(p, q, radius) == (
         neighbors_by_bbox_scan(p, q, radius)
     )
 
 
-@pytest.mark.parametrize("p, q, radius", CASES)
-def test_envelope_scan_rows(p, q, radius):
-    rows = _kernels_py.envelope_scan(p, q, radius)
-    assert [(row[0], row[1]) for row in rows] == neighbors_by_bbox_scan(p, q, radius)
-    for row in rows:
-        check_scan_row(row)
+def test_random_small_scans_equal_oracles():
+    for p, q, radius in random_small_scans(2000):
+        rows = _kernels_py.envelope_scan(p, q, radius)
+        assert rows == envelope_scan_by_pairs(p, q, radius), (p, q, radius)
+        pairs = _kernels_py.coprime_pairs_in_disk(p, q, radius)
+        assert pairs == neighbors_by_bbox_scan(p, q, radius), (p, q, radius)
+        assert pairs == [(row[0], row[1]) for row in rows]
 
 
 def test_envelope_scan_range_top():

@@ -14,6 +14,7 @@ from bezout_bezier import (
     extend_pair,
     flip_bezout,
     gcd,
+    numtheory,
 )
 
 from oracles import (
@@ -218,6 +219,29 @@ class TestCoprimeNeighbors:
     def test_range_guard(self):
         with pytest.raises(DomainError):
             coprime_neighbors(Center(INT_RANGE, 5), 10.0)
+
+
+class TestNeighborsBulkVerification:
+    """coprime_neighbors checks the kernel's pairs before wrapping them."""
+
+    def neighbors_with(self, monkeypatch, pairs):
+        monkeypatch.setattr(
+            numtheory.kernels, "coprime_pairs_in_disk", lambda p, q, r: pairs
+        )
+        return coprime_neighbors(Center(10, 3), 2.0)
+
+    def test_valid_pairs_are_kept(self, monkeypatch):
+        pairs = self.neighbors_with(monkeypatch, [(9, 4), (10, 3)])
+        assert pairs == [CoprimePair(9, 4), CoprimePair(10, 3)]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(10, 4), (0, 1), (INT_RANGE + 1, 1), (1, INT_RANGE + 1)],
+        ids=["gcd", "zero", "range-r", "range-s"],
+    )
+    def test_broken_pair_raises(self, monkeypatch, bad):
+        with pytest.raises(DomainError, match=rf"\({bad[0]}, {bad[1]}\)"):
+            self.neighbors_with(monkeypatch, [(9, 4), bad, (10, 3)])
 
 
 def test_pair_magnitude_guard():
