@@ -8,6 +8,11 @@ to those of (s, r).  This package enumerates those pairs, builds the
 segments, verifies the deviation bounds, and renders the figures.
 
 The package is pure Python; the hot loops live in ``_kernels_py``.
+The value types (``Point2``, ``CoprimePair``, ``EnvelopeParams``,
+``RenderOptions`` and the rest) are frozen classes with ``__slots__``.
+They compare, hash, print, pickle and copy as frozen dataclasses do,
+but they are not dataclasses: ``dataclasses.replace``, ``fields`` and
+``asdict`` do not apply to them.
 """
 
 from ._backend import backend_name

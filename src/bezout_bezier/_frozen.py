@@ -1,0 +1,50 @@
+"""The base class of the package's immutable value types."""
+
+from operator import attrgetter
+
+# Sets a field past Frozen.__setattr__: for the types' own __init__, and
+# for objects built from data that is already verified.
+setfield = object.__setattr__
+
+
+class Frozen:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    A subclass lists its fields (two or more) in ``__slots__`` and sets
+    them in its own ``__init__`` with ``setfield``.  Instances compare
+    equal only to instances of the same class with equal fields, hash
+    as the tuple of their fields, print as ``Name(field=value, ...)``,
+    refuse assignment and deletion with AttributeError, and pickle and
+    copy through their constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._astuple = attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._astuple(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)

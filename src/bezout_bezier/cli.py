@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .envelope import (
     EnvelopeParams,
@@ -125,10 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="output format (default: csv)",
             )
             sp.add_argument(
-                "--output",
-                type=Path,
-                default=None,
-                help="write to this file instead of stdout",
+                "--output", default=None, help="write to this file instead of stdout"
             )
             sp.add_argument("--width-px", type=_width_px, default=800)
             sp.add_argument("--show-curve", action="store_true")
@@ -144,13 +140,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="run many (p, q, epsilon) combinations from a spec file",
     )
     sp.add_argument(
-        "spec_path",
-        type=Path,
-        help="file of 'p q epsilon' lines; '#' starts a comment",
+        "spec_path", help="file of 'p q epsilon' lines; '#' starts a comment"
     )
     sp.set_defaults(func=cmd_audit_sweep)
 
     return parser
+
+
+def _write_stdout(text: str) -> None:
+    """Write all of `text` to stdout; a closed pipe raises BrokenPipeError.
+
+    The text layer ignores how much of a write reached the file.  With
+    PYTHONUNBUFFERED=1 its binary layer is the raw file, whose write to
+    a pipe can take only part of the bytes, and the rest would be lost
+    without an error.  So the bytes go to the binary layer, which
+    returns the count, until all are written.  A stream without one
+    (io.StringIO) takes the text as it is.
+    """
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _fail_domain(exc: Exception) -> int:
@@ -164,8 +179,10 @@ def cmd_bezout(args) -> int:
     except DomainError as exc:
         return _fail_domain(exc)
     a, b = coeffs.a, coeffs.b
-    print(f"B({args.p},{args.q}) = ({a}, {b})")
-    print(f"check: {a}*{args.q} - {b}*{args.p} = {a * args.q - b * args.p}")
+    _write_stdout(
+        f"B({args.p},{args.q}) = ({a}, {b})\n"
+        f"check: {a}*{args.q} - {b}*{args.p} = {a * args.q - b * args.p}\n"
+    )
     return EXIT_OK
 
 
@@ -176,7 +193,7 @@ def cmd_neighbors(args) -> int:
         return _fail_domain(exc)
     lines = [f"({pair.r},{pair.s})" for pair in pairs]
     lines.append(f"count: {len(pairs)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_stdout("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -222,7 +239,7 @@ def cmd_envelope(args) -> int:
     else:
         text = _report_text(report)
     if args.output is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
@@ -239,10 +256,12 @@ def cmd_verify(args) -> int:
     except (DomainError, HypothesisError) as exc:
         return _fail_domain(exc)
     report = build_envelope(params)
-    print(f"neighbor_count: {report.neighbor_count}")
-    print(f"max_deviation: {format_real(report.max_deviation)}")
-    print(f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}")
-    print("PASS" if report.all_bounds_hold else "FAIL")
+    _write_stdout(
+        f"neighbor_count: {report.neighbor_count}\n"
+        f"max_deviation: {format_real(report.max_deviation)}\n"
+        f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}\n"
+        f"{'PASS' if report.all_bounds_hold else 'FAIL'}\n"
+    )
     return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
 
 
@@ -267,7 +286,8 @@ def _parse_sweep_spec(text: str) -> list[tuple[int, int, float]]:
 
 def cmd_audit_sweep(args) -> int:
     try:
-        text = args.spec_path.read_text(encoding="utf-8")
+        with open(args.spec_path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         print(f"error: cannot read {args.spec_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -294,7 +314,7 @@ def cmd_audit_sweep(args) -> int:
                 f"{format_real(report.max_deviation)},{format_real(slack)},"
                 f"{'true' if report.all_bounds_hold else 'false'}"
             )
-    sys.stdout.write("\n".join(out) + "\n")
+    _write_stdout("\n".join(out) + "\n")
     return EXIT_OK
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from ._backend import kernels
+from ._frozen import Frozen, setfield
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
 from .numtheory import (
@@ -26,8 +26,7 @@ from .numtheory import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class EnvelopeParams:
+class EnvelopeParams(Frozen):
     """A center and tolerance satisfying the approximation hypotheses.
 
     Requires p > 3, 0 <= q < p and 1 < epsilon <= ||(p, q)|| / 2, and
@@ -35,30 +34,33 @@ class EnvelopeParams:
     integer range (q < p makes the bound on q follow).
     """
 
+    __slots__ = ("center", "epsilon")
     center: Center
     epsilon: float
 
-    def __post_init__(self):
-        p, q = self.center.p, self.center.q
+    def __init__(self, center: Center, epsilon: float):
+        p, q = center.p, center.q
         if p <= 3:
             raise HypothesisError(f"requires p > 3 (got p = {p})")
         if q >= p:
             raise HypothesisError(f"requires 0 <= q < p (got p = {p} and q = {q})")
-        eps = self.epsilon
-        if not isinstance(eps, (int, float)) or not math.isfinite(eps):
-            raise HypothesisError(f"requires a finite epsilon (got {eps!r})")
-        if eps <= 1:
-            raise HypothesisError(f"requires epsilon > 1 (got epsilon = {eps})")
+        if not isinstance(epsilon, (int, float)) or not math.isfinite(epsilon):
+            raise HypothesisError(f"requires a finite epsilon (got {epsilon!r})")
+        if epsilon <= 1:
+            raise HypothesisError(f"requires epsilon > 1 (got epsilon = {epsilon})")
         half_norm = 0.5 * math.hypot(p, q)
-        if eps > half_norm:
+        if epsilon > half_norm:
             raise HypothesisError(
                 f"requires epsilon <= ||(p,q)||/2 = {half_norm} "
-                f"(got epsilon = {eps})"
+                f"(got epsilon = {epsilon})"
             )
-        if p + eps > INT_RANGE:
+        if p + epsilon > INT_RANGE:
             raise DomainError(
-                f"requires p + epsilon <= 2**31 (got p = {p} and epsilon = {eps})"
+                f"requires p + epsilon <= 2**31 "
+                f"(got p = {p} and epsilon = {epsilon})"
             )
+        setfield(self, "center", center)
+        setfield(self, "epsilon", epsilon)
 
     @property
     def radius(self) -> float:
@@ -66,10 +68,13 @@ class EnvelopeParams:
         return self.epsilon - 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class EnvelopeRecord:
+class EnvelopeRecord(Frozen):
     """One coprime neighbor with its segment and measured deviations."""
 
+    __slots__ = (
+        "pair", "coeffs", "flipped", "segment", "t_contact",
+        "gap_alpha", "gap_beta", "deviation", "bound_ok", "degenerate",
+    )
     pair: CoprimePair
     coeffs: BezoutCoeffs  # B(r, s): segment start
     flipped: BezoutCoeffs  # B(s, r): segment end
@@ -81,26 +86,49 @@ class EnvelopeRecord:
     bound_ok: bool
     degenerate: bool  # only (1, 1): the segment collapses to a point
 
+    def __init__(
+        self,
+        pair: CoprimePair,
+        coeffs: BezoutCoeffs,
+        flipped: BezoutCoeffs,
+        segment: Segment,
+        t_contact: float,
+        gap_alpha: float,
+        gap_beta: float,
+        deviation: float,
+        bound_ok: bool,
+        degenerate: bool,
+    ):
+        setfield(self, "pair", pair)
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "flipped", flipped)
+        setfield(self, "segment", segment)
+        setfield(self, "t_contact", t_contact)
+        setfield(self, "gap_alpha", gap_alpha)
+        setfield(self, "gap_beta", gap_beta)
+        setfield(self, "deviation", deviation)
+        setfield(self, "bound_ok", bound_ok)
+        setfield(self, "degenerate", degenerate)
+
 
 # Records built from rows that build_envelope has verified set their
-# fields directly: the constructors' __post_init__ checks would only
-# repeat the bulk verification, at several times the cost.
+# fields directly: the constructors' checks would only repeat the bulk
+# verification, at several times the cost.
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _coeffs(a: int, b: int, pair: CoprimePair) -> BezoutCoeffs:
     coeffs = _new(BezoutCoeffs)
-    _set(coeffs, "a", a)
-    _set(coeffs, "b", b)
-    _set(coeffs, "pair", pair)
+    setfield(coeffs, "a", a)
+    setfield(coeffs, "b", b)
+    setfield(coeffs, "pair", pair)
     return coeffs
 
 
 def _point(x: float, y: float) -> Point2:
     point = _new(Point2)
-    _set(point, "x", x)
-    _set(point, "y", y)
+    setfield(point, "x", x)
+    setfield(point, "y", y)
     return point
 
 
@@ -122,17 +150,18 @@ class EnvelopeRecords(Sequence):
     def _record(self, row: tuple) -> EnvelopeRecord:
         r, s, a, b, af, bf, t, gap_a, gap_b, dev = row
         pair = _verified_pair(r, s)
+        # positional, in field order: keywords would cost a dict per record
         return EnvelopeRecord(
-            pair=pair,
-            coeffs=_coeffs(a, b, pair),
-            flipped=_coeffs(af, bf, _verified_pair(s, r)),
-            segment=Segment(_point(float(a), float(b)), _point(float(af), float(bf))),
-            t_contact=t,
-            gap_alpha=gap_a,
-            gap_beta=gap_b,
-            deviation=dev,
-            bound_ok=dev < self._epsilon,
-            degenerate=r == s,
+            pair,
+            _coeffs(a, b, pair),
+            _coeffs(af, bf, _verified_pair(s, r)),
+            Segment(_point(float(a), float(b)), _point(float(af), float(bf))),
+            t,
+            gap_a,
+            gap_b,
+            dev,
+            dev < self._epsilon,
+            r == s,
         )
 
     def __len__(self) -> int:
@@ -182,14 +211,17 @@ def kernel_rows(records: Sequence[EnvelopeRecord]) -> Sequence[tuple]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Aggregate outcome of one (center, epsilon) run.
 
     build_envelope fills ``records`` with an EnvelopeRecords; any other
     sequence of EnvelopeRecord works for the writers too.
     """
 
+    __slots__ = (
+        "params", "records", "neighbor_count", "all_bounds_hold",
+        "max_deviation", "max_endpoint_gap",
+    )
     params: EnvelopeParams
     records: Sequence[EnvelopeRecord]
     neighbor_count: int
@@ -197,15 +229,43 @@ class VerificationReport:
     max_deviation: float
     max_endpoint_gap: float
 
+    def __init__(
+        self,
+        params: EnvelopeParams,
+        records: Sequence[EnvelopeRecord],
+        neighbor_count: int,
+        all_bounds_hold: bool,
+        max_deviation: float,
+        max_endpoint_gap: float,
+    ):
+        setfield(self, "params", params)
+        setfield(self, "records", records)
+        setfield(self, "neighbor_count", neighbor_count)
+        setfield(self, "all_bounds_hold", all_bounds_hold)
+        setfield(self, "max_deviation", max_deviation)
+        setfield(self, "max_endpoint_gap", max_endpoint_gap)
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
+
+class SweepResult(Frozen):
     """One (center, epsilon) combination: a report, or why it was skipped."""
 
+    __slots__ = ("center", "epsilon", "report", "skip_reason")
     center: Center
     epsilon: float
     report: VerificationReport | None
     skip_reason: str | None
+
+    def __init__(
+        self,
+        center: Center,
+        epsilon: float,
+        report: VerificationReport | None,
+        skip_reason: str | None,
+    ):
+        setfield(self, "center", center)
+        setfield(self, "epsilon", epsilon)
+        setfield(self, "report", report)
+        setfield(self, "skip_reason", skip_reason)
 
 
 def bezout_segment(pair: CoprimePair) -> Segment:

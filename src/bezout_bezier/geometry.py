@@ -9,22 +9,24 @@ replacement segment against a chord.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._frozen import Frozen, setfield
 from .errors import DomainError
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
+class Point2(Frozen):
     """A point (or vector) in the plane."""
 
+    __slots__ = ("x", "y")
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"coordinates must be finite (got {self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"coordinates must be finite (got {x}, {y})")
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
@@ -45,12 +47,16 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(Frozen):
     """An ordered pair of endpoints; zero length is permitted."""
 
+    __slots__ = ("start", "end")
     start: Point2
     end: Point2
+
+    def __init__(self, start: Point2, end: Point2):
+        setfield(self, "start", start)
+        setfield(self, "end", end)
 
     def point_at(self, t: float) -> Point2:
         return linear_bezier(self.start, self.end, t)
@@ -62,8 +68,7 @@ class Segment:
         return Segment(self.end, self.start)
 
 
-@dataclass(frozen=True, slots=True)
-class QuadBezier:
+class QuadBezier(Frozen):
     """The quadratic Bezier curve with control points (p, q), (0, 0), (q, p).
 
     p == q collapses the curve onto a straight path; such curves are
@@ -71,14 +76,17 @@ class QuadBezier:
     crash.
     """
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"curve needs p >= 1 (got p = {self.p})")
-        if self.q < 0:
-            raise DomainError(f"curve needs q >= 0 (got q = {self.q})")
+    def __init__(self, p: int, q: int):
+        if p < 1:
+            raise DomainError(f"curve needs p >= 1 (got p = {p})")
+        if q < 0:
+            raise DomainError(f"curve needs q >= 0 (got q = {q})")
+        setfield(self, "p", p)
+        setfield(self, "q", q)
 
     @property
     def is_degenerate(self) -> bool:
@@ -92,9 +100,9 @@ class QuadBezier:
         )
 
 
-class RayProjection(NamedTuple):
-    t: float
-    foot: Point2
+# What project_onto_ray returns: the parameter t along the direction,
+# and the foot t*direction as a Point2.
+RayProjection = namedtuple("RayProjection", ["t", "foot"])
 
 
 def linear_bezier(a: Point2, b: Point2, t: float) -> Point2:

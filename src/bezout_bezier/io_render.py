@@ -7,9 +7,9 @@ always serialize to byte-identical text (golden-file friendly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._frozen import Frozen, setfield
 from .envelope import VerificationReport, kernel_rows
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
@@ -39,28 +39,41 @@ def _coord(value: float) -> str:
     return format(value, ".9g")
 
 
-@dataclass(frozen=True, slots=True)
-class RenderOptions:
+class RenderOptions(Frozen):
     """Knobs for the SVG rendering (stored coordinates stay mathematical)."""
 
-    width_px: int = 800
-    show_curve: bool = False
-    show_controls: bool = False
-    curve_samples: int = 256
-    stroke_width_fraction: float = 0.0008
+    __slots__ = (
+        "width_px", "show_curve", "show_controls", "curve_samples",
+        "stroke_width_fraction",
+    )
+    width_px: int
+    show_curve: bool
+    show_controls: bool
+    curve_samples: int
+    stroke_width_fraction: float
 
-    def __post_init__(self):
-        if self.width_px < 16:
-            raise DomainError(f"width_px must be >= 16 (got {self.width_px})")
-        if self.curve_samples < 2:
-            raise DomainError(
-                f"curve_samples must be >= 2 (got {self.curve_samples})"
-            )
-        if not 0.0 < self.stroke_width_fraction < 1.0:
+    def __init__(
+        self,
+        width_px: int = 800,
+        show_curve: bool = False,
+        show_controls: bool = False,
+        curve_samples: int = 256,
+        stroke_width_fraction: float = 0.0008,
+    ):
+        if width_px < 16:
+            raise DomainError(f"width_px must be >= 16 (got {width_px})")
+        if curve_samples < 2:
+            raise DomainError(f"curve_samples must be >= 2 (got {curve_samples})")
+        if not 0.0 < stroke_width_fraction < 1.0:
             raise DomainError(
                 "stroke_width_fraction must lie in (0, 1) "
-                f"(got {self.stroke_width_fraction})"
+                f"(got {stroke_width_fraction})"
             )
+        setfield(self, "width_px", width_px)
+        setfield(self, "show_curve", show_curve)
+        setfield(self, "show_controls", show_controls)
+        setfield(self, "curve_samples", curve_samples)
+        setfield(self, "stroke_width_fraction", stroke_width_fraction)
 
 
 def to_csv(report: VerificationReport) -> str:

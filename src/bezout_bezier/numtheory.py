@@ -9,10 +9,10 @@ is allowed to round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, starmap
 
 from ._backend import kernels
+from ._frozen import Frozen, setfield
 from .errors import DomainError
 
 # The documented supported range: Center, EnvelopeParams and
@@ -25,24 +25,25 @@ def _check_magnitude(name: str, value: int) -> None:
         raise DomainError(f"{name} = {value} exceeds the supported range 2**31")
 
 
-@dataclass(frozen=True, slots=True)
-class CoprimePair:
+class CoprimePair(Frozen):
     """A validated pair of positive coprime integers (r, s)."""
 
+    __slots__ = ("r", "s")
     r: int
     s: int
 
-    def __post_init__(self):
-        if self.r < 1 or self.s < 1:
+    def __init__(self, r: int, s: int):
+        if r < 1 or s < 1:
             raise DomainError(
-                f"coprime pair entries must be positive integers "
-                f"(got ({self.r}, {self.s}))"
+                f"coprime pair entries must be positive integers (got ({r}, {s}))"
             )
-        _check_magnitude("r", self.r)
-        _check_magnitude("s", self.s)
-        g = math.gcd(self.r, self.s)
+        _check_magnitude("r", r)
+        _check_magnitude("s", s)
+        g = math.gcd(r, s)
         if g != 1:
-            raise DomainError(f"({self.r}, {self.s}) is not coprime: gcd = {g}")
+            raise DomainError(f"({r}, {s}) is not coprime: gcd = {g}")
+        setfield(self, "r", r)
+        setfield(self, "s", s)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.r, self.s)
@@ -59,8 +60,8 @@ _set_s = CoprimePair.s.__set__
 def _verified_pair(r: int, s: int) -> CoprimePair:
     """A CoprimePair from entries already verified in bulk.
 
-    Sets the fields directly: __post_init__ would only repeat the bulk
-    check, at several times the cost.
+    Sets the fields directly: the constructor's checks would only repeat
+    the bulk check, at several times the cost.
     """
     pair = object.__new__(CoprimePair)
     _set_r(pair, r)
@@ -68,49 +69,54 @@ def _verified_pair(r: int, s: int) -> CoprimePair:
     return pair
 
 
-@dataclass(frozen=True, slots=True)
-class BezoutCoeffs:
+class BezoutCoeffs(Frozen):
     """Normalized Bezout coefficients (a, b) of a coprime pair (p, q).
 
     Satisfies a*q - b*p = 1 with 0 < a <= p and 0 <= b < q; those box
     constraints make the solution unique.
     """
 
+    __slots__ = ("a", "b", "pair")
     a: int
     b: int
     pair: CoprimePair
 
-    def __post_init__(self):
-        p, q = self.pair.r, self.pair.s
-        if self.a * q - self.b * p != 1:
+    def __init__(self, a: int, b: int, pair: CoprimePair):
+        p, q = pair.r, pair.s
+        if a * q - b * p != 1:
             raise DomainError(
-                f"({self.a}, {self.b}) does not satisfy the identity for "
-                f"({p}, {q}): {self.a}*{q} - {self.b}*{p} != 1"
+                f"({a}, {b}) does not satisfy the identity for "
+                f"({p}, {q}): {a}*{q} - {b}*{p} != 1"
             )
-        if not (0 < self.a <= p and 0 <= self.b < q):
+        if not (0 < a <= p and 0 <= b < q):
             raise DomainError(
-                f"({self.a}, {self.b}) lies outside the normalization box "
+                f"({a}, {b}) lies outside the normalization box "
                 f"0 < a <= {p}, 0 <= b < {q}"
             )
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "pair", pair)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True, slots=True)
-class Center:
+class Center(Frozen):
     """Enumeration center (p, q).  Coprimality is not required."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"center needs p >= 1 (got p = {self.p})")
-        if self.q < 0:
-            raise DomainError(f"center needs q >= 0 (got q = {self.q})")
-        _check_magnitude("p", self.p)
-        _check_magnitude("q", self.q)
+    def __init__(self, p: int, q: int):
+        if p < 1:
+            raise DomainError(f"center needs p >= 1 (got p = {p})")
+        if q < 0:
+            raise DomainError(f"center needs q >= 0 (got q = {q})")
+        _check_magnitude("p", p)
+        _check_magnitude("q", q)
+        setfield(self, "p", p)
+        setfield(self, "q", q)
 
 
 def gcd(x: int, y: int) -> int:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import bezout_bezier
 from bezout_bezier.cli import (
     AUDIT_HEADER,
     EXIT_BOUND_FAILED,
@@ -64,12 +65,16 @@ class TestNeighbors:
         assert lines[-1] == "count: 4"
         assert lines[:-1] == ["(4,5)", "(5,4)", "(5,6)", "(6,5)"]
 
-    def test_closed_pipe_exits_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
         # radius 200 prints about 1 MB, more than a pipe holds, so the
-        # write meets the closed pipe.  PYTHONUNBUFFERED is dropped: with
-        # it, a write cut short by the closed pipe returns a short count
-        # instead of raising, and the run would exit 0.
+        # write meets the closed pipe.  With PYTHONUNBUFFERED=1 the
+        # binary layer of stdout is the raw file, whose writes to the
+        # pipe can be cut short: the rest must still be written, and so
+        # meet the closed pipe too.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "bezout_bezier.cli"]
             + ["neighbors", "100000", "30000", "200"],
@@ -202,13 +207,20 @@ class TestVerify:
     def test_bound_failure_exits_3(self, capsys, monkeypatch):
         # the bound has never failed on real inputs; force a failing
         # report to pin the exit-code contract
-        import dataclasses
-
         from bezout_bezier import cli as cli_module
+        from bezout_bezier.envelope import VerificationReport
         from bezout_bezier.envelope import build_envelope as real_build
 
         def failing_build(params):
-            return dataclasses.replace(real_build(params), all_bounds_hold=False)
+            real = real_build(params)
+            return VerificationReport(
+                params=real.params,
+                records=real.records,
+                neighbor_count=real.neighbor_count,
+                all_bounds_hold=False,
+                max_deviation=real.max_deviation,
+                max_endpoint_gap=real.max_endpoint_gap,
+            )
 
         monkeypatch.setattr(cli_module, "build_envelope", failing_build)
         code, out, _ = run(capsys, "verify", "300", "21", "2")
@@ -314,3 +326,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0] == "B(3,5) = (2, 3)"
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # Start-up time of every CLI run: the package's import must not pull
+    # in dataclasses (and with it inspect, ast, dis, tokenize), typing or
+    # pathlib.  -S keeps site's own imports out of the check.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bezout_bezier.__file__)))
+    heavy = ("dataclasses", "inspect", "typing", "pathlib")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, bezout_bezier.cli; "
+         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
