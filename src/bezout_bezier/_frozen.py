@@ -8,10 +8,11 @@ setfield = object.__setattr__
 
 
 class Frozen:
-    """An immutable record whose fields are its ``__slots__``, in order.
+    """An immutable record whose fields are its ``_fields``, in order.
 
     A subclass lists its fields (two or more) in ``__slots__`` and sets
-    them in its own ``__init__`` with ``setfield``.  Instances compare
+    them in its own ``__init__`` with ``setfield``; one that derives
+    them from other slots names them in ``_fields``.  Instances compare
     equal only to instances of the same class with equal fields, hash
     as the tuple of their fields, print as ``Name(field=value, ...)``,
     refuse assignment and deletion with AttributeError, and pickle and
@@ -22,8 +23,9 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._astuple = attrgetter(*cls.__slots__)
-        cls.__match_args__ = cls.__slots__
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._astuple = attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -42,7 +44,7 @@ class Frozen:
     def __repr__(self):
         fields = ", ".join(
             f"{name}={value!r}"
-            for name, value in zip(self.__slots__, self._astuple(self))
+            for name, value in zip(self._fields, self._astuple(self))
         )
         return f"{self.__class__.__qualname__}({fields})"
 

@@ -9,14 +9,15 @@ one inverse of the last product, and a backward pass that peels the
 inverses off one at a time.  That is three small multiplications per
 pair instead of one extended Euclid per pair.
 
-``envelope_scan`` inlines the contact and gap formulas of
-``envelope.contact_parameter`` and ``envelope.endpoint_gaps`` with the
-same operation order, so that its rows agree with them bit for bit;
-tests/test_kernels.py enforces this.  The integers it feeds into the
-float formulas are converted with ``float()`` once, up front: every one
-is below 2**53, so the conversion is exact and is the same one that the
-mixed int/float operations would make implicitly; only the place of the
-conversion moves, never an IEEE operation.  (All-float operands also
+``pair_row`` is the row of one pair, which the single-pair functions of
+``envelope`` read.  ``envelope_scan`` inlines its formula with the same
+operations in the same order (a call per pair would slow the scan by
+about half), so that its rows equal ``pair_row``'s bit for bit;
+tests/test_kernels.py enforces this.  The integers the scan feeds into
+the float formulas are converted with ``float()`` once, up front: every
+one is below 2**53, so the conversion is exact and is the same one that
+the mixed int/float operations would make implicitly; only the place of
+the conversion moves, never an IEEE operation.  (All-float operands also
 let CPython specialise the arithmetic.)  Callers validate inputs
 (positive, coprime where required, within the supported integer range),
 so the kernels do not.
@@ -84,6 +85,29 @@ def coprime_pairs_in_disk(p, q, radius):
     if radius < 0.0:
         return []
     return [(r, s) for r, row in _disk_rows(p, q, radius) for s in row]
+
+
+def pair_row(p, q, r, s):
+    """The envelope_scan row of the coprime pair (r, s) for center (p, q)."""
+    a, b = bezout_normalized(r, s)
+    af = s - b
+    bf = r - a
+    t = 1.0 - float(a * r + b * s) / float(r * r + s * s)
+    u = 1.0 - t
+    pf, qf = float(p), float(q)  # converted once: each is used four times
+    gax = a - u * pf
+    gay = b - u * qf
+    gbx = af - t * qf
+    gby = bf - t * pf
+    lx = u * a + t * af
+    ly = u * b + t * bf
+    uu = u * u
+    tt = t * t
+    dx = lx - (uu * pf + tt * qf)
+    dy = ly - (uu * qf + tt * pf)
+    gap_a = sqrt(gax * gax + gay * gay)
+    gap_b = sqrt(gbx * gbx + gby * gby)
+    return (r, s, a, b, af, bf, t, gap_a, gap_b, sqrt(dx * dx + dy * dy))
 
 
 def envelope_scan(p, q, radius):

@@ -18,6 +18,7 @@ from .envelope import (
     EnvelopeParams,
     VerificationReport,
     build_envelope,
+    kernel_rows,
     sweep_one,
 )
 from .errors import DomainError, HypothesisError
@@ -204,15 +205,12 @@ def _report_text(report: VerificationReport) -> str:
         f"epsilon: {format_real(params.epsilon)}",
         f"neighbor_count: {report.neighbor_count}",
     ]
-    for rec in report.records:
-        status = "ok" if rec.bound_ok else "BOUND VIOLATED"
-        lines.append(
-            f"({rec.pair.r},{rec.pair.s}) "
-            f"B=({rec.coeffs.a},{rec.coeffs.b}) "
-            f"flip=({rec.flipped.a},{rec.flipped.b}) "
-            f"t={format_real(rec.t_contact)} "
-            f"deviation={format_real(rec.deviation)} {status}"
-        )
+    lines += [
+        f"({r},{s}) B=({a},{b}) flip=({af},{bf}) t={format_real(t)} "
+        f"deviation={format_real(dev)} "
+        + ("ok" if dev < params.epsilon else "BOUND VIOLATED")
+        for r, s, a, b, af, bf, t, _, _, dev in kernel_rows(report.records)
+    ]
     lines.append(f"max_deviation: {format_real(report.max_deviation)}")
     lines.append(f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}")
     lines.append("PASS" if report.all_bounds_hold else "FAIL")

@@ -69,22 +69,22 @@ class EnvelopeParams(Frozen):
 
 
 class EnvelopeRecord(Frozen):
-    """One coprime neighbor with its segment and measured deviations."""
+    """One coprime neighbor with its segment and measured deviations.
 
-    __slots__ = (
+    Holds its kernel row (r, s, a, b, a_flip, b_flip, t_contact,
+    gap_alpha, gap_beta, deviation) and bound_ok.  The fields that are
+    objects (pair, coeffs, flipped, segment) are built from the row each
+    time they are read.  The constructor takes all ten fields; coeffs,
+    flipped, segment and degenerate must be the ones the pair
+    determines, or it raises DomainError.
+    """
+
+    __slots__ = ("_row", "bound_ok")
+    _fields = (
         "pair", "coeffs", "flipped", "segment", "t_contact",
         "gap_alpha", "gap_beta", "deviation", "bound_ok", "degenerate",
     )
-    pair: CoprimePair
-    coeffs: BezoutCoeffs  # B(r, s): segment start
-    flipped: BezoutCoeffs  # B(s, r): segment end
-    segment: Segment
-    t_contact: float
-    gap_alpha: float
-    gap_beta: float
-    deviation: float
     bound_ok: bool
-    degenerate: bool  # only (1, 1): the segment collapses to a point
 
     def __init__(
         self,
@@ -99,46 +99,57 @@ class EnvelopeRecord(Frozen):
         bound_ok: bool,
         degenerate: bool,
     ):
-        setfield(self, "pair", pair)
-        setfield(self, "coeffs", coeffs)
-        setfield(self, "flipped", flipped)
-        setfield(self, "segment", segment)
-        setfield(self, "t_contact", t_contact)
-        setfield(self, "gap_alpha", gap_alpha)
-        setfield(self, "gap_beta", gap_beta)
-        setfield(self, "deviation", deviation)
+        r, s = pair.r, pair.s
+        a, b = coeffs.a, coeffs.b
+        row = (r, s, a, b, s - b, r - a, t_contact, gap_alpha, gap_beta, deviation)
+        setfield(self, "_row", row)
         setfield(self, "bound_ok", bound_ok)
-        setfield(self, "degenerate", degenerate)
+        for name, given in (
+            ("coeffs", coeffs),
+            ("flipped", flipped),
+            ("segment", segment),
+            ("degenerate", degenerate),
+        ):
+            implied = getattr(self, name)
+            if given != implied:
+                raise DomainError(
+                    f"record for ({r}, {s}): {name} = {given!r} contradicts "
+                    f"the pair, which gives {implied!r}"
+                )
+
+    # The fields, read from the row; the objects are built on each read.
+    pair = property(lambda self: _verified_pair(self._row[0], self._row[1]))
+    # B(r, s): segment start, and B(s, r): segment end
+    coeffs = property(lambda self: BezoutCoeffs(*self._row[2:4], self.pair))
+    flipped = property(
+        lambda self: BezoutCoeffs(*self._row[4:6], self.pair.flipped())
+    )
+    segment = property(lambda self: _segment(self._row))
+    t_contact = property(lambda self: self._row[6])
+    gap_alpha = property(lambda self: self._row[7])
+    gap_beta = property(lambda self: self._row[8])
+    deviation = property(lambda self: self._row[9])
+    # only (1, 1): the segment collapses to a point
+    degenerate = property(lambda self: self._row[0] == self._row[1])
 
 
-# Records built from rows that build_envelope has verified set their
-# fields directly: the constructors' checks would only repeat the bulk
-# verification, at several times the cost.
+def _segment(row: tuple) -> Segment:
+    """The segment from B(r, s) to B(s, r) of a kernel row, as real points."""
+    _, _, a, b, af, bf = row[:6]
+    return Segment(Point2(float(a), float(b)), Point2(float(af), float(bf)))
+
+
+# The slots' own setters: they bypass the frozen __setattr__.
 _new = object.__new__
-
-
-def _coeffs(a: int, b: int, pair: CoprimePair) -> BezoutCoeffs:
-    coeffs = _new(BezoutCoeffs)
-    setfield(coeffs, "a", a)
-    setfield(coeffs, "b", b)
-    setfield(coeffs, "pair", pair)
-    return coeffs
-
-
-def _point(x: float, y: float) -> Point2:
-    point = _new(Point2)
-    setfield(point, "x", x)
-    setfield(point, "y", y)
-    return point
+_set_row = EnvelopeRecord._row.__set__
+_set_bound_ok = EnvelopeRecord.bound_ok.__set__
 
 
 class EnvelopeRecords(Sequence):
     """Immutable sequence of EnvelopeRecord over verified kernel rows.
 
-    Holds the kernel's tuples (r, s, a, b, a_flip, b_flip, t_contact,
-    gap_alpha, gap_beta, deviation), already checked by build_envelope;
-    a record is built only when it is accessed.
-    Compares equal to any sequence of equal records.
+    A record, one object over its row, is built only when it is
+    accessed.  Compares equal to any sequence of equal records.
     """
 
     __slots__ = ("_rows", "_epsilon")
@@ -148,21 +159,12 @@ class EnvelopeRecords(Sequence):
         self._epsilon = epsilon
 
     def _record(self, row: tuple) -> EnvelopeRecord:
-        r, s, a, b, af, bf, t, gap_a, gap_b, dev = row
-        pair = _verified_pair(r, s)
-        # positional, in field order: keywords would cost a dict per record
-        return EnvelopeRecord(
-            pair,
-            _coeffs(a, b, pair),
-            _coeffs(af, bf, _verified_pair(s, r)),
-            Segment(_point(float(a), float(b)), _point(float(af), float(bf))),
-            t,
-            gap_a,
-            gap_b,
-            dev,
-            dev < self._epsilon,
-            r == s,
-        )
+        # The row is verified: the constructor's checks would only repeat
+        # build_envelope's bulk pass.
+        rec = _new(EnvelopeRecord)
+        _set_row(rec, row)
+        _set_bound_ok(rec, row[9] < self._epsilon)
+        return rec
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -182,33 +184,19 @@ class EnvelopeRecords(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    def __hash__(self) -> int:
+        # the hash of the tuple of the same records, which compares equal
+        return hash(tuple(self))
+
     def __repr__(self) -> str:
         return f"<{len(self)} envelope records>"
 
 
 def kernel_rows(records: Sequence[EnvelopeRecord]) -> Sequence[tuple]:
-    """The records as kernel row tuples, the shape EnvelopeRecords keeps.
-
-    build_envelope's records give their rows back as they are; any other
-    sequence of records is converted.
-    """
+    """The records as kernel row tuples, the shape EnvelopeRecords keeps."""
     if isinstance(records, EnvelopeRecords):
         return records._rows
-    return [
-        (
-            rec.pair.r,
-            rec.pair.s,
-            rec.coeffs.a,
-            rec.coeffs.b,
-            rec.flipped.a,
-            rec.flipped.b,
-            rec.t_contact,
-            rec.gap_alpha,
-            rec.gap_beta,
-            rec.deviation,
-        )
-        for rec in records
-    ]
+    return [rec._row for rec in records]
 
 
 class VerificationReport(Frozen):
@@ -270,11 +258,7 @@ class SweepResult(Frozen):
 
 def bezout_segment(pair: CoprimePair) -> Segment:
     """The segment from B(r, s) to B(s, r), as real points."""
-    a, b = kernels.bezout_normalized(pair.r, pair.s)
-    return Segment(
-        Point2(float(a), float(b)),
-        Point2(float(pair.s - b), float(pair.r - a)),
-    )
+    return _segment(kernels.pair_row(pair.r, pair.s, pair.r, pair.s))
 
 
 def contact_parameter(pair: CoprimePair) -> float:
@@ -284,9 +268,8 @@ def contact_parameter(pair: CoprimePair) -> float:
     strictly inside (0, 1).  Note the complement: the projection of
     B(r, s) onto the (r, s) ray sits at 1 - t, not t.
     """
-    a, b = kernels.bezout_normalized(pair.r, pair.s)
-    r, s = pair.r, pair.s
-    return 1.0 - float(a * r + b * s) / float(r * r + s * s)
+    # t does not depend on the center, so the pair serves as one
+    return kernels.pair_row(pair.r, pair.s, pair.r, pair.s)[6]
 
 
 def endpoint_gaps(pair: CoprimePair, params: EnvelopeParams) -> tuple[float, float]:
@@ -306,14 +289,7 @@ def endpoint_gaps(pair: CoprimePair, params: EnvelopeParams) -> tuple[float, flo
             f"{math.hypot(dr, ds)} from ({p}, {q}) with epsilon = "
             f"{params.epsilon})"
         )
-    a, b = kernels.bezout_normalized(r, s)
-    t = 1.0 - float(a * r + b * s) / float(r * r + s * s)
-    u = 1.0 - t
-    gax = a - u * p
-    gay = b - u * q
-    gbx = (s - b) - t * q
-    gby = (r - a) - t * p
-    return math.sqrt(gax * gax + gay * gay), math.sqrt(gbx * gbx + gby * gby)
+    return kernels.pair_row(p, q, r, s)[7:9]
 
 
 def build_envelope(params: EnvelopeParams) -> VerificationReport:

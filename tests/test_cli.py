@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -122,6 +123,23 @@ class TestEnvelope:
         assert code == EXIT_OK
         assert "neighbor_count: 1" in out
         assert out.rstrip().endswith("PASS")
+
+    @pytest.mark.parametrize(
+        "p, q, eps, digest",
+        [
+            ("300", "21", "2",
+             "f57927a89fee06affd560f5622ad89d77c9ef046daf55f15f06309d022bbb83c"),
+            ("60", "0", "2",
+             "6f5aed9d7454297002fdcccc9c47e7119d7845531281bf47ed4aba416c4d493a"),
+            ("5000", "1234", "20",
+             "60099d175cfe5dc720f99c870ccd45e865d2c7314a7a2ee8e95cd218ad5719f8"),
+        ],
+    )
+    def test_text_format_bytes(self, capsys, p, q, eps, digest):
+        # SHA-256 digests of the text output: it must stay byte-stable
+        code, out, _ = run(capsys, "envelope", p, q, eps, "--format", "text")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "p, q, eps, fragment",

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -14,7 +16,9 @@ from bezout_bezier import (
     Point2,
     QuadBezier,
     Segment,
+    VerificationReport,
     audit_sweep,
+    bezout_coefficients,
     bezout_segment,
     build_envelope,
     contact_parameter,
@@ -27,6 +31,7 @@ from bezout_bezier import (
 )
 
 from bezout_bezier import envelope
+from bezout_bezier.envelope import kernel_rows
 from oracles import bezout_solutions_by_search
 
 
@@ -381,3 +386,80 @@ class TestEnvelopeRecords:
                 bound_ok=rec.deviation < 4.0,
                 degenerate=pair.r == pair.s,
             )
+
+    def test_record_contract_matches_validated_construction(self):
+        report = build_envelope(EnvelopeParams(Center(40, 17), 4.0))
+        for rec in report.records:
+            pair = CoprimePair(rec.pair.r, rec.pair.s)
+            flipped_pair = CoprimePair(pair.s, pair.r)
+            built = EnvelopeRecord(
+                pair,
+                bezout_coefficients(pair),
+                bezout_coefficients(flipped_pair),
+                bezout_segment(pair),
+                contact_parameter(pair),
+                rec.gap_alpha,
+                rec.gap_beta,
+                rec.deviation,
+                rec.deviation < 4.0,
+                pair.r == pair.s,
+            )
+            assert repr(rec) == repr(built)
+            assert rec == built and built == rec
+            assert hash(rec) == hash(built)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copied = pickle.loads(pickle.dumps(rec, protocol))
+                assert copied == rec and repr(copied) == repr(rec)
+            copied = copy.deepcopy(rec)
+            assert copied == rec and repr(copied) == repr(rec)
+
+    def test_one_object_per_record(self):
+        records = build_envelope(EnvelopeParams(Center(50, 29), 5.0)).records
+        rows = kernel_rows(records)
+        assert len(rows) == len(records) > 3
+        for i, rec in enumerate(records):
+            assert rec._row is rows[i]
+            assert records[i]._row is rows[i]
+
+    def test_report_hash(self):
+        report = build_envelope(EnvelopeParams(Center(50, 29), 5.0))
+        same = VerificationReport(
+            report.params,
+            tuple(report.records),
+            report.neighbor_count,
+            report.all_bounds_hold,
+            report.max_deviation,
+            report.max_endpoint_gap,
+        )
+        assert report == same
+        assert hash(report) == hash(same)
+        assert hash(report.records) == hash(tuple(report.records))
+
+    # (3, 5): B(3, 5) = (2, 3), B(5, 3) = (2, 1)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coeffs", BezoutCoeffs(2, 3, CoprimePair(5, 8))),
+            ("flipped", BezoutCoeffs(1, 0, CoprimePair(2, 1))),
+            ("segment", Segment(Point2(2.0, 1.0), Point2(2.0, 3.0))),
+            ("degenerate", True),
+        ],
+    )
+    def test_contradicting_record_raises(self, field, value):
+        pair = CoprimePair(3, 5)
+        fields = dict(
+            pair=pair,
+            coeffs=BezoutCoeffs(2, 3, pair),
+            flipped=BezoutCoeffs(2, 1, CoprimePair(5, 3)),
+            segment=Segment(Point2(2.0, 3.0), Point2(2.0, 1.0)),
+            t_contact=0.5,
+            gap_alpha=0.25,
+            gap_beta=0.125,
+            deviation=0.75,
+            bound_ok=True,
+            degenerate=False,
+        )
+        EnvelopeRecord(**fields)
+        fields[field] = value
+        with pytest.raises(DomainError, match=rf"^record for \(3, 5\): {field} = "):
+            EnvelopeRecord(**fields)

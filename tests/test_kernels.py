@@ -123,21 +123,29 @@ def test_negative_radius_yields_empty():
 
 
 def test_scan_tuples_match_single_call_ops():
-    # batch rows must equal what the one-pair code paths produce
+    # every scan row must equal what the one-pair code paths produce;
+    # repr tells apart floats that == does not (0.0 and -0.0)
     from bezout_bezier import (
         Center,
         CoprimePair,
+        DomainError,
         EnvelopeParams,
+        HypothesisError,
         contact_parameter,
         endpoint_gaps,
     )
 
-    p, q, eps = 50, 29, 5.0
-    params = EnvelopeParams(Center(p, q), eps)
-    for r, s, a, b, af, bf, t, gap_a, gap_b, _dev in _kernels_py.envelope_scan(
-        p, q, eps - 1.0
-    ):
-        pair = CoprimePair(r, s)
-        assert (af, bf) == (s - b, r - a)
-        assert contact_parameter(pair) == t
-        assert endpoint_gaps(pair, params) == (gap_a, gap_b)
+    for p, q, radius in PARITY_CASES + [(50, 29, 4.0)]:
+        try:
+            params = EnvelopeParams(Center(p, q), radius + 1.0)
+        except (DomainError, HypothesisError):
+            params = None  # no gaps: endpoint_gaps needs valid params
+        for row in _kernels_py.envelope_scan(p, q, radius):
+            r, s, a, b, af, bf, t, gap_a, gap_b, _dev = row
+            single = _kernels_py.pair_row(p, q, r, s)
+            assert single == row and repr(single) == repr(row), (p, q, radius)
+            pair = CoprimePair(r, s)
+            assert (af, bf) == (s - b, r - a)
+            assert contact_parameter(pair) == t
+            if params is not None:
+                assert endpoint_gaps(pair, params) == (gap_a, gap_b)
