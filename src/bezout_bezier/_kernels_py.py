@@ -9,18 +9,17 @@ one inverse of the last product, and a backward pass that peels the
 inverses off one at a time.  That is three small multiplications per
 pair instead of one extended Euclid per pair.
 
-``pair_row`` is the row of one pair, which the single-pair functions of
-``envelope`` read.  ``envelope_scan`` inlines its formula with the same
-operations in the same order (a call per pair would slow the scan by
-about half), so that its rows equal ``pair_row``'s bit for bit;
-tests/test_kernels.py enforces this.  The integers the scan feeds into
-the float formulas are converted with ``float()`` once, up front: every
-one is below 2**53, so the conversion is exact and is the same one that
-the mixed int/float operations would make implicitly; only the place of
-the conversion moves, never an IEEE operation.  (All-float operands also
-let CPython specialise the arithmetic.)  Callers validate inputs
-(positive, coprime where required, within the supported integer range),
-so the kernels do not.
+``_row`` is the one copy of the contact/gap formula: the row of one
+pair from the center as floats and a = s**-1 mod r.  It takes the
+inverse as an argument so that ``envelope_scan`` keeps its one ``pow``
+per row: the scan calls it once per pair with the inverse its batch
+already holds, and ``pair_row``, which the single-pair functions of
+``envelope`` read, calls it with one ``pow(s, -1, r)``.  The integers
+that enter the float formulas are converted with ``float()`` first:
+every one is below 2**53, so the conversion is exact, and all-float
+operands let CPython specialise the arithmetic.  Callers validate
+inputs (positive, coprime where required, within the supported integer
+range), so the kernels do not.
 """
 
 from math import ceil, floor, gcd, sqrt
@@ -87,20 +86,26 @@ def coprime_pairs_in_disk(p, q, radius):
     return [(r, s) for r, row in _disk_rows(p, q, radius) for s in row]
 
 
-def pair_row(p, q, r, s):
-    """The envelope_scan row of the coprime pair (r, s) for center (p, q)."""
-    a, b = bezout_normalized(r, s)
+def _row(pf, qf, r, s, a):
+    """The envelope_scan row of (r, s) for the center (pf, qf), as floats.
+
+    a is s**-1 mod r taken in (0, r], as in ``bezout_normalized``.
+    """
+    b = (a * s - 1) // r
     af = s - b
     bf = r - a
     t = 1.0 - float(a * r + b * s) / float(r * r + s * s)
     u = 1.0 - t
-    pf, qf = float(p), float(q)  # converted once: each is used four times
-    gax = a - u * pf
-    gay = b - u * qf
-    gbx = af - t * qf
-    gby = bf - t * pf
-    lx = u * a + t * af
-    ly = u * b + t * bf
+    fa = float(a)
+    fb = float(b)
+    faf = float(af)
+    fbf = float(bf)
+    gax = fa - u * pf
+    gay = fb - u * qf
+    gbx = faf - t * qf
+    gby = fbf - t * pf
+    lx = u * fa + t * faf
+    ly = u * fb + t * fbf
     uu = u * u
     tt = t * t
     dx = lx - (uu * pf + tt * qf)
@@ -108,6 +113,11 @@ def pair_row(p, q, r, s):
     gap_a = sqrt(gax * gax + gay * gay)
     gap_b = sqrt(gbx * gbx + gby * gby)
     return (r, s, a, b, af, bf, t, gap_a, gap_b, sqrt(dx * dx + dy * dy))
+
+
+def pair_row(p, q, r, s):
+    """The envelope_scan row of the coprime pair (r, s) for center (p, q)."""
+    return _row(float(p), float(q), r, s, pow(s, -1, r) or r)
 
 
 def envelope_scan(p, q, radius):
@@ -129,34 +139,8 @@ def envelope_scan(p, q, radius):
         return []
     pf = float(p)
     qf = float(q)
-    out = []
-    for r, row in _disk_rows(p, q, radius):
-        r2 = r * r
-        for s, inv in zip(row, _inverses_mod(row, r)):
-            a = inv or r  # as bezout_normalized
-            b = (a * s - 1) // r
-            af = s - b
-            bf = r - a
-            t = 1.0 - float(a * r + b * s) / float(r2 + s * s)
-            u = 1.0 - t
-            fa = float(a)
-            fb = float(b)
-            faf = float(af)
-            fbf = float(bf)
-            gax = fa - u * pf
-            gay = fb - u * qf
-            gbx = faf - t * qf
-            gby = fbf - t * pf
-            gap_a = sqrt(gax * gax + gay * gay)
-            gap_b = sqrt(gbx * gbx + gby * gby)
-            lx = u * fa + t * faf
-            ly = u * fb + t * fbf
-            uu = u * u
-            tt = t * t
-            cx = uu * pf + tt * qf
-            cy = uu * qf + tt * pf
-            dx = lx - cx
-            dy = ly - cy
-            dev = sqrt(dx * dx + dy * dy)
-            out.append((r, s, a, b, af, bf, t, gap_a, gap_b, dev))
-    return out
+    return [
+        _row(pf, qf, r, s, inv or r)
+        for r, row in _disk_rows(p, q, radius)
+        for s, inv in zip(row, _inverses_mod(row, r))
+    ]

@@ -41,50 +41,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _checked(convert, ok, expected: str):
+    """An argparse type: `convert` the text and require `ok(value)`.
 
+    Text that does not convert gets the same message as a value out of
+    range, so argparse never names this function in its error.
+    """
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text}"
-        )
-    return value
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{expected}, got {text}")
 
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text}")
-    return value
-
-
-def _width_px(text: str) -> int:
-    value = int(text)
-    if value < 16:
-        raise argparse.ArgumentTypeError(f"width must be at least 16 px, got {text}")
-    return value
-
-
-def _curve_samples(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {text}")
-    return value
-
-
-def _stroke_fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"stroke fraction must lie in (0, 1), got {text}"
-        )
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,16 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive_int = _checked(int, lambda v: v >= 1, "expected a positive integer")
+    nonnegative_int = _checked(int, lambda v: v >= 0, "expected a nonnegative integer")
 
     sp = sub.add_parser("bezout", parents=[], help="normalized Bezout coefficients")
-    sp.add_argument("p", type=_positive_int)
-    sp.add_argument("q", type=_positive_int)
+    sp.add_argument("p", type=positive_int)
+    sp.add_argument("q", type=positive_int)
     sp.set_defaults(func=cmd_bezout)
 
     sp = sub.add_parser("neighbors", help="coprime pairs within a disk")
-    sp.add_argument("p", type=_positive_int)
-    sp.add_argument("q", type=_nonnegative_int)
-    sp.add_argument("radius", type=_nonnegative_float)
+    sp.add_argument("p", type=positive_int)
+    sp.add_argument("q", type=nonnegative_int)
+    sp.add_argument(
+        "radius",
+        type=_checked(float, lambda v: v >= 0.0, "expected a nonnegative number"),
+    )
     sp.set_defaults(func=cmd_neighbors)
 
     for name, func, help_text in (
@@ -114,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "check the deviation bound and print PASS/FAIL"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("p", type=_positive_int)
-        sp.add_argument("q", type=_nonnegative_int)
+        sp.add_argument("p", type=positive_int)
+        sp.add_argument("q", type=nonnegative_int)
         sp.add_argument("epsilon", type=float)
         if name == "envelope":
             sp.add_argument(
@@ -127,12 +105,26 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--output", default=None, help="write to this file instead of stdout"
             )
-            sp.add_argument("--width-px", type=_width_px, default=800)
+            sp.add_argument(
+                "--width-px",
+                type=_checked(int, lambda v: v >= 16, "width must be at least 16 px"),
+                default=800,
+            )
             sp.add_argument("--show-curve", action="store_true")
             sp.add_argument("--show-controls", action="store_true")
-            sp.add_argument("--curve-samples", type=_curve_samples, default=256)
             sp.add_argument(
-                "--stroke-width-fraction", type=_stroke_fraction, default=0.0008
+                "--curve-samples",
+                type=_checked(int, lambda v: v >= 2, "need at least 2 samples"),
+                default=256,
+            )
+            sp.add_argument(
+                "--stroke-width-fraction",
+                type=_checked(
+                    float,
+                    lambda v: 0.0 < v < 1.0,
+                    "stroke fraction must lie in (0, 1)",
+                ),
+                default=0.0008,
             )
         sp.set_defaults(func=func)
 
@@ -169,16 +161,8 @@ def _write_stdout(text: str) -> None:
         data = data[buffer.write(data):]
 
 
-def _fail_domain(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_DOMAIN
-
-
 def cmd_bezout(args) -> int:
-    try:
-        coeffs = bezout_coefficients(CoprimePair(args.p, args.q))
-    except DomainError as exc:
-        return _fail_domain(exc)
+    coeffs = bezout_coefficients(CoprimePair(args.p, args.q))
     a, b = coeffs.a, coeffs.b
     _write_stdout(
         f"B({args.p},{args.q}) = ({a}, {b})\n"
@@ -188,10 +172,7 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    try:
-        pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
-    except DomainError as exc:
-        return _fail_domain(exc)
+    pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
     lines = [f"({pair.r},{pair.s})" for pair in pairs]
     lines.append(f"count: {len(pairs)}")
     _write_stdout("\n".join(lines) + "\n")
@@ -218,11 +199,7 @@ def _report_text(report: VerificationReport) -> str:
 
 
 def cmd_envelope(args) -> int:
-    try:
-        params = EnvelopeParams(Center(args.p, args.q), args.epsilon)
-    except (DomainError, HypothesisError) as exc:
-        return _fail_domain(exc)
-    report = build_envelope(params)
+    report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
     if args.format == "svg":
         opts = RenderOptions(
             width_px=args.width_px,
@@ -249,11 +226,7 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        params = EnvelopeParams(Center(args.p, args.q), args.epsilon)
-    except (DomainError, HypothesisError) as exc:
-        return _fail_domain(exc)
-    report = build_envelope(params)
+    report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
     _write_stdout(
         f"neighbor_count: {report.neighbor_count}\n"
         f"max_deviation: {format_real(report.max_deviation)}\n"
@@ -330,7 +303,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except (DomainError, HypothesisError) as exc:
-        return _fail_domain(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except BrokenPipeError:
         # The reader closed stdout early.  Point stdout at devnull so
         # that the final flush at exit does not fail a second time.

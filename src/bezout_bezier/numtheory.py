@@ -169,7 +169,10 @@ def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     if radius < 0:
         raise DomainError(f"radius must be nonnegative (got {radius})")
     if center.p + radius > INT_RANGE or center.q + radius > INT_RANGE:
-        raise DomainError("neighborhood extends beyond the supported range 2**31")
+        raise DomainError(
+            "neighborhood extends beyond the supported range 2**31 "
+            f"(got p = {center.p}, q = {center.q} and radius = {radius})"
+        )
     pairs = kernels.coprime_pairs_in_disk(center.p, center.q, radius)
     entries = list(chain.from_iterable(pairs))
     if entries and (

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -94,6 +95,20 @@ class TestNeighbors:
         with pytest.raises(SystemExit) as excinfo:
             main(["neighbors", "3", "5", "-1"])
         assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "p, q, radius, shown",
+        [
+            ("2147483000", "5", "1000", "radius = 1000.0"),
+            ("10", "5", "inf", "radius = inf"),
+        ],
+    )
+    def test_range_top_names_the_input(self, capsys, p, q, radius, shown):
+        code, out, err = run(capsys, "neighbors", p, q, radius)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "supported range 2**31" in err
+        assert f"p = {p}, q = {q}" in err and shown in err
 
 
 class TestEnvelope:
@@ -334,6 +349,29 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bezout", "3", "x"),
+            ("neighbors", "x", "5", "1"),
+            ("neighbors", "10", "x", "1"),
+            ("neighbors", "10", "5", "x"),
+            ("verify", "10", "x", "2"),
+            ("envelope", "10", "3", "2", "--width-px", "x"),
+            ("envelope", "10", "3", "2", "--curve-samples", "x"),
+            ("envelope", "10", "3", "2", "--stroke-width-fraction", "x"),
+        ],
+    )
+    def test_non_numeric_argument_names_no_private_function(self, capsys, argv):
+        # argparse names a type function that raises ValueError; the
+        # message must say what was expected instead
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "got x" in err
+        assert not re.search(r"\b_\w", err), err
 
 
 def test_console_script_entry_point():

@@ -73,7 +73,11 @@ def test_disk_enumeration_matches_oracle(p, q, radius):
 def test_random_small_scans_equal_oracles():
     for p, q, radius in random_small_scans(2000):
         rows = _kernels_py.envelope_scan(p, q, radius)
-        assert rows == envelope_scan_by_pairs(p, q, radius), (p, q, radius)
+        expected = envelope_scan_by_pairs(p, q, radius)
+        assert rows == expected, (p, q, radius)
+        for row in expected:
+            single = _kernels_py.pair_row(p, q, row[0], row[1])
+            assert single == row and repr(single) == repr(row), (p, q, radius)
         pairs = _kernels_py.coprime_pairs_in_disk(p, q, radius)
         assert pairs == neighbors_by_bbox_scan(p, q, radius), (p, q, radius)
         assert pairs == [(row[0], row[1]) for row in rows]
