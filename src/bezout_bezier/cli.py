@@ -3,9 +3,14 @@
 Subcommands: bezout, neighbors, envelope, verify, audit-sweep.
 Exit codes: 0 success, 1 usage or parse error, 2 domain or hypothesis
 violation, 3 verification failure (a measured deviation at or above
-epsilon, which would falsify the approximation bound).  A reader that
-closes stdout before the output ends (``neighbors ... | head -1``)
-gives exit code 1 and no traceback.
+epsilon, which would falsify the approximation bound).
+
+Output is written as it is made: neighbors and envelope write their
+rows in chunks of io_render.CHUNK_ROWS, and audit-sweep writes each
+summary row when its combination is done.  A reader that closes stdout
+before the output ends (``neighbors ... | head -1``) gives exit code 1
+and no traceback, and a write error on ``envelope --output`` gives
+exit code 1 and a message; either leaves the output written so far.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .envelope import (
     sweep_one,
 )
 from .errors import DomainError, HypothesisError
-from .io_render import RenderOptions, format_real, to_csv, to_svg
+from .io_render import RenderOptions, chunked, csv_chunks, format_real, svg_chunks
 from .numtheory import Center, CoprimePair, bezout_coefficients, coprime_neighbors
 
 EXIT_OK = 0
@@ -173,29 +178,33 @@ def cmd_bezout(args) -> int:
 
 def cmd_neighbors(args) -> int:
     pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
-    lines = [f"({pair.r},{pair.s})" for pair in pairs]
-    lines.append(f"count: {len(pairs)}")
-    _write_stdout("\n".join(lines) + "\n")
+    for chunk in chunked(pairs):
+        _write_stdout("".join([f"({pair.r},{pair.s})\n" for pair in chunk]))
+    _write_stdout(f"count: {len(pairs)}\n")
     return EXIT_OK
 
 
-def _report_text(report: VerificationReport) -> str:
+def _report_text(report: VerificationReport):
+    """Yield the text format: a summary around one line per record."""
     params = report.params
-    lines = [
-        f"center: ({params.center.p},{params.center.q})",
-        f"epsilon: {format_real(params.epsilon)}",
-        f"neighbor_count: {report.neighbor_count}",
-    ]
-    lines += [
-        f"({r},{s}) B=({a},{b}) flip=({af},{bf}) t={format_real(t)} "
-        f"deviation={format_real(dev)} "
-        + ("ok" if dev < params.epsilon else "BOUND VIOLATED")
-        for r, s, a, b, af, bf, t, _, _, dev in kernel_rows(report.records)
-    ]
-    lines.append(f"max_deviation: {format_real(report.max_deviation)}")
-    lines.append(f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}")
-    lines.append("PASS" if report.all_bounds_hold else "FAIL")
-    return "\n".join(lines) + "\n"
+    eps = params.epsilon
+    yield (
+        f"center: ({params.center.p},{params.center.q})\n"
+        f"epsilon: {format_real(eps)}\n"
+        f"neighbor_count: {report.neighbor_count}\n"
+    )
+    for chunk in chunked(kernel_rows(report.records)):
+        yield "".join([
+            f"({r},{s}) B=({a},{b}) flip=({af},{bf}) t={format_real(t)} "
+            f"deviation={format_real(dev)} "
+            + ("ok\n" if dev < eps else "BOUND VIOLATED\n")
+            for r, s, a, b, af, bf, t, _, _, dev in chunk
+        ])
+    yield (
+        f"max_deviation: {format_real(report.max_deviation)}\n"
+        f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}\n"
+        f"{'PASS' if report.all_bounds_hold else 'FAIL'}\n"
+    )
 
 
 def cmd_envelope(args) -> int:
@@ -208,17 +217,18 @@ def cmd_envelope(args) -> int:
             curve_samples=args.curve_samples,
             stroke_width_fraction=args.stroke_width_fraction,
         )
-        text = to_svg(report, opts)
+        chunks = svg_chunks(report, opts)
     elif args.format == "csv":
-        text = to_csv(report)
+        chunks = csv_chunks(report)
     else:
-        text = _report_text(report)
+        chunks = _report_text(report)
     if args.output is None:
-        _write_stdout(text)
+        for chunk in chunks:
+            _write_stdout(chunk)
     else:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -267,26 +277,30 @@ def cmd_audit_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {args.spec_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = [AUDIT_HEADER]
+    # The whole spec has parsed: from here on, each row is written (and
+    # flushed) as soon as its combination is done.
+    _write_stdout(AUDIT_HEADER + "\n")
     for p, q, eps in rows:
-        try:
-            center = Center(p, q)
-        except DomainError as exc:
-            out.append(_skip_row(p, q, eps, str(exc)))
-            continue
-        result = sweep_one(center, eps)
-        if result.report is None:
-            out.append(_skip_row(p, q, eps, result.skip_reason or ""))
-        else:
-            report = result.report
-            slack = eps - report.max_deviation
-            out.append(
-                f"{p},{q},{format_real(eps)},{report.neighbor_count},"
-                f"{format_real(report.max_deviation)},{format_real(slack)},"
-                f"{'true' if report.all_bounds_hold else 'false'}"
-            )
-    _write_stdout("\n".join(out) + "\n")
+        _write_stdout(_audit_row(p, q, eps) + "\n")
+        sys.stdout.flush()
     return EXIT_OK
+
+
+def _audit_row(p: int, q: int, eps: float) -> str:
+    try:
+        center = Center(p, q)
+    except DomainError as exc:
+        return _skip_row(p, q, eps, str(exc))
+    result = sweep_one(center, eps)
+    if result.report is None:
+        return _skip_row(p, q, eps, result.skip_reason or "")
+    report = result.report
+    slack = eps - report.max_deviation
+    return (
+        f"{p},{q},{format_real(eps)},{report.neighbor_count},"
+        f"{format_real(report.max_deviation)},{format_real(slack)},"
+        f"{'true' if report.all_bounds_hold else 'false'}"
+    )
 
 
 def _skip_row(p: int, q: int, eps: float, reason: str) -> str:

@@ -2,6 +2,16 @@
 
 Both writers are pure functions of their inputs, so identical reports
 always serialize to byte-identical text (golden-file friendly).
+
+Each format is one generator of chunks: a header chunk, then the rows
+CHUNK_ROWS at a time, then, for SVG, a trailer chunk (the control
+markers, the curve overlay and the closing tag).  to_csv and to_svg
+join the chunks; the CLI writes each chunk as it is made, so no more
+than one chunk of a document is held at a time.  The SVG header holds
+the viewBox, and the stroke width and the number format of every line
+depend on the whole document, so svg_chunks takes the column maxima of
+all rows in a first pass before it yields anything; nothing about the
+format is decided per chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +30,10 @@ CSV_HEADER = (
 )
 # The segment coordinates x1..y2 are the coefficients: integers below
 # 10**12, which ".12g" (format_real) prints exactly as "%d" does.
-_CSV_ROW = "%d,%d,%d,%d,%d,%d,%.12g,%d,%d,%d,%d,%.12g,%.12g,%.12g,%s"
+_CSV_ROW = "%d,%d,%d,%d,%d,%d,%.12g,%d,%d,%d,%d,%.12g,%.12g,%.12g,%s\n"
+
+# Rows per chunk: about 240 KB of CSV.
+CHUNK_ROWS = 2048
 
 PADDING_FRACTION = 0.05
 
@@ -76,6 +89,25 @@ class RenderOptions(Frozen):
         setfield(self, "stroke_width_fraction", stroke_width_fraction)
 
 
+def chunked(rows):
+    """Yield the sequence `rows` in slices of at most CHUNK_ROWS items."""
+    for start in range(0, len(rows), CHUNK_ROWS):
+        yield rows[start:start + CHUNK_ROWS]
+
+
+def csv_chunks(report: VerificationReport):
+    """Yield the text of to_csv: the header, then the rows in chunks."""
+    eps = report.params.epsilon
+    yield CSV_HEADER + "\n"
+    for chunk in chunked(kernel_rows(report.records)):
+        yield "".join([
+            _CSV_ROW
+            % (r, s, a, b, af, bf, t, a, b, af, bf, gap_a, gap_b, dev,
+               "true" if dev < eps else "false")
+            for r, s, a, b, af, bf, t, gap_a, gap_b, dev in chunk
+        ])
+
+
 def to_csv(report: VerificationReport) -> str:
     """One row per record in lexicographic (r, s) order, LF-terminated.
 
@@ -83,34 +115,17 @@ def to_csv(report: VerificationReport) -> str:
     as true/false.  The segment columns are the coefficients and
     bound_ok is deviation < epsilon.
     """
-    eps = report.params.epsilon
-    lines = [CSV_HEADER]
-    lines += [
-        _CSV_ROW
-        % (r, s, a, b, af, bf, t, a, b, af, bf, gap_a, gap_b, dev,
-           "true" if dev < eps else "false")
-        for r, s, a, b, af, bf, t, gap_a, gap_b, dev in kernel_rows(report.records)
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(csv_chunks(report))
 
 
-def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) -> str:
-    """Standalone SVG 1.1 document with one line element per record.
-
-    Each line runs from B(r, s) to B(s, r), the record's coefficients.
-
-    The viewBox is the bounding box of all segment endpoints plus the
-    three control points, padded 5% per side; the y-axis is flipped at
-    render time only, so mathematical "up" draws upward.  Element order
-    is deterministic: segments in record order, then control markers,
-    then the curve overlay last.
-    """
+def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()):
+    """Yield the text of to_svg: header, lines in chunks, then trailer."""
     p, q = report.params.center.p, report.params.center.q
     rows = kernel_rows(report.records)
     # The box starts at the origin: it is a control point, and every
     # other coordinate is >= 0 (p > q >= 0, and the normalization box
     # keeps all coefficients >= 0).  Only the maxima need a pass, one
-    # per coefficient column.
+    # per coefficient column, and it runs before the first chunk.
     a_max, b_max, af_max, bf_max = (
         max(map(itemgetter(i), rows), default=0) for i in (2, 3, 4, 5)
     )
@@ -134,14 +149,12 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
     def fy(v: float) -> str:
         return _coord(-v)
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        (
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{opts.width_px}" height="{height_px}" '
-            f'viewBox="{fx(x_lo)} {fy(y_hi)} {_coord(width)} {_coord(height)}">'
-        ),
-    ]
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{opts.width_px}" height="{height_px}" '
+        f'viewBox="{fx(x_lo)} {fy(y_hi)} {_coord(width)} {_coord(height)}">\n'
+    )
     # Segment endpoints (a, b) and (a_flip, b_flip) are never negative
     # (normalization box), so y = -b prints as "-" before b's digits,
     # "-0" included, as _coord(-float(b)) does.  They are integers, and
@@ -151,19 +164,21 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
     num = "%d" if max(a_max, b_max, af_max, bf_max) < 10**9 else "%.9g"
     line = (
         f'<line x1="{num}" y1="-{num}" x2="{num}" y2="-{num}" '
-        f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>'
+        f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>\n'
     )
     # a collapsed segment, only (1, 1), still draws: round caps make a dot
-    lines += [
-        line % (a, b, af, bf, ' stroke-linecap="round"' if r == s else "")
-        for r, s, a, b, af, bf, _, _, _, _ in rows
-    ]
+    for chunk in chunked(rows):
+        yield "".join([
+            line % (a, b, af, bf, ' stroke-linecap="round"' if r == s else "")
+            for r, s, a, b, af, bf, _, _, _, _ in chunk
+        ])
+    trailer = []
     if opts.show_controls:
         marker_r = _coord(0.005 * diagonal)
         for cx, cy in ((float(p), float(q)), (0.0, 0.0), (float(q), float(p))):
-            lines.append(
+            trailer.append(
                 f'<circle cx="{fx(cx)}" cy="{fy(cy)}" r="{marker_r}" '
-                f'fill="{CONTROL_FILL}"/>'
+                f'fill="{CONTROL_FILL}"/>\n'
             )
     if opts.show_curve:
         curve = QuadBezier(p, q)
@@ -172,9 +187,23 @@ def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) ->
             "{},{}".format(fx(pt.x), fy(pt.y))
             for pt in (quad_point(curve, i / (n - 1)) for i in range(n))
         )
-        lines.append(
+        trailer.append(
             f'<polyline points="{points}" fill="none" '
-            f'stroke="{CURVE_STROKE}" stroke-width="{_coord(1.5 * stroke)}"/>'
+            f'stroke="{CURVE_STROKE}" stroke-width="{_coord(1.5 * stroke)}"/>\n'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    trailer.append("</svg>\n")
+    yield "".join(trailer)
+
+
+def to_svg(report: VerificationReport, opts: RenderOptions = RenderOptions()) -> str:
+    """Standalone SVG 1.1 document with one line element per record.
+
+    Each line runs from B(r, s) to B(s, r), the record's coefficients.
+
+    The viewBox is the bounding box of all segment endpoints plus the
+    three control points, padded 5% per side; the y-axis is flipped at
+    render time only, so mathematical "up" draws upward.  Element order
+    is deterministic: segments in record order, then control markers,
+    then the curve overlay last.
+    """
+    return "".join(svg_chunks(report, opts))

@@ -1,12 +1,16 @@
 import hashlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import bezout_bezier
+from bezout_bezier import Center, EnvelopeParams, build_envelope, to_csv, to_svg
+from bezout_bezier import cli as cli_module
 from bezout_bezier.cli import (
     AUDIT_HEADER,
     EXIT_BOUND_FAILED,
@@ -22,6 +26,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_env(unbuffered: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def read_one_line_then_close(argv, unbuffered):
+    """Run the CLI, read one line of stdout, close the pipe and wait.
+
+    Returns the line, the exit code and stderr.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bezout_bezier.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(unbuffered),
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return line, proc.wait(), err
 
 
 class TestBezout:
@@ -74,22 +107,22 @@ class TestNeighbors:
         # binary layer of stdout is the raw file, whose writes to the
         # pipe can be cut short: the rest must still be written, and so
         # meet the closed pipe too.
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "bezout_bezier.cli"]
-            + ["neighbors", "100000", "30000", "200"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
+        line, code, err = read_one_line_then_close(
+            ["neighbors", "100000", "30000", "200"], unbuffered
         )
-        assert proc.stdout.readline() == b"(99801,29981)\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait() == EXIT_USAGE
+        assert line == b"(99801,29981)\n"
+        assert code == EXIT_USAGE
         assert b"Traceback" not in err
+
+    def test_multi_chunk_bytes(self, capsys):
+        # 6,876 pairs, four chunks; the digest was recorded before the
+        # pairs were written in chunks
+        code, out, _ = run(capsys, "neighbors", "100000", "30000", "60")
+        assert code == EXIT_OK
+        assert out.endswith("\ncount: 6876\n")
+        assert sha256(out.encode()) == (
+            "df1b190f0af627d6b644cc3f6e3101ef600bb881c72ad7bc08abfbbfd0ccf5af"
+        )
 
     def test_negative_radius_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -206,6 +239,78 @@ class TestEnvelope:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"error: cannot write {target}: " in err
+
+
+class TestStreamedEnvelope:
+    """envelope writes its document in chunks, with unchanged bytes.
+
+    (100000, 30000) with epsilon 60 has 6,628 records, four chunks of
+    rows.  The text digest was recorded before the output was written
+    in chunks.
+    """
+
+    ARGV = ["envelope", "100000", "30000", "60"]
+    TEXT_DIGEST = "670f768d8f4fa8b7976b7f42e8df36060cd51126ae601489246befd6483b4320"
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        report = build_envelope(EnvelopeParams(Center(100000, 30000), 60.0))
+        return {
+            "csv": sha256(to_csv(report).encode("utf-8")),
+            "svg": sha256(to_svg(report).encode("utf-8")),
+            "text": self.TEXT_DIGEST,
+        }
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "text"])
+    def test_stdout_bytes(self, digests, fmt, unbuffered):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bezout_bezier.cli"]
+            + self.ARGV + ["--format", fmt],
+            capture_output=True,
+            env=cli_env(unbuffered),
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert sha256(proc.stdout) == digests[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "text"])
+    def test_file_bytes(self, capsys, tmp_path, digests, fmt):
+        target = tmp_path / f"out.{fmt}"
+        code, out, _ = run(
+            capsys, *self.ARGV, "--format", fmt, "--output", str(target)
+        )
+        assert code == EXIT_OK
+        assert out == ""
+        assert sha256(target.read_bytes()) == digests[fmt]
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
+        # about 2.2 MB of CSV: the reader closes the pipe after the header
+        line, code, err = read_one_line_then_close(
+            ["envelope", "100000", "30000", "100", "--format", "csv"], unbuffered
+        )
+        assert line == (CSV_HEADER + "\n").encode()
+        assert code == EXIT_USAGE
+        assert b"Traceback" not in err
+
+    def test_file_output_holds_one_chunk_at_a_time(self, capsys, tmp_path):
+        # Beyond what build_envelope needs, writing the 2.2 MB CSV holds
+        # about one chunk of rows, not the whole document.
+        target = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            build_envelope(EnvelopeParams(Center(100000, 30000), 100.0))
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            code = main(
+                ["envelope", "100000", "30000", "100", "--format", "csv",
+                 "--output", str(target)]
+            )
+            _, main_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert main_peak - build_peak < target.stat().st_size
 
 
 class TestVerify:
@@ -332,6 +437,45 @@ class TestAuditSweep:
         _, first, _ = run(capsys, "audit-sweep", str(spec))
         _, second, _ = run(capsys, "audit-sweep", str(spec))
         assert first == second
+
+    def test_bytes(self, capsys, tmp_path):
+        # the digest was recorded before rows were written one at a time
+        spec = tmp_path / "sweep.txt"
+        spec.write_text(
+            "# mixed\n10 3 2\n4 7 2\n10 3 0.5\n2147483648 2147483647 3\n"
+            "300 21 2\n50 29 5\n5000 1234 20\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "audit-sweep", str(spec))
+        assert code == EXIT_OK
+        assert sha256(out.encode()) == (
+            "31bc6e87ad5cd2bb8c97390028495db443d3ef2a4e6ba90e585c81eaa8eb922c"
+        )
+
+    def test_rows_are_written_as_they_are_done(self, monkeypatch, tmp_path):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text("10 3 2\n300 21 2\n", encoding="utf-8")
+        out = io.StringIO()
+        written_before = []
+        real_sweep_one = cli_module.sweep_one
+
+        def spy(center, eps):
+            written_before.append(out.getvalue())
+            return real_sweep_one(center, eps)
+
+        monkeypatch.setattr(cli_module, "sweep_one", spy)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["audit-sweep", str(spec)]) == EXIT_OK
+        header, first, _ = out.getvalue().splitlines(keepends=True)
+        assert written_before == [header, header + first]
+
+    def test_bad_line_after_good_ones_writes_nothing(self, capsys, tmp_path):
+        spec = tmp_path / "bad.txt"
+        spec.write_text("10 3 2\n300 21 2\n10 3 x\n", encoding="utf-8")
+        code, out, err = run(capsys, "audit-sweep", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "line 3" in err
 
 
 class TestParsing:

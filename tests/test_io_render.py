@@ -21,7 +21,7 @@ from bezout_bezier import (
     to_csv,
     to_svg,
 )
-from bezout_bezier.io_render import CSV_HEADER
+from bezout_bezier.io_render import CHUNK_ROWS, CSV_HEADER, csv_chunks, svg_chunks
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -249,7 +249,9 @@ class TestWriterBytes:
     SVG writer took its box from column maxima and printed coordinates
     below 10**9 with "%d": near 2**31 the coefficients reach 10**9 and
     the lines keep "%.9g", and (300, 21) with epsilon 1.5 has no
-    records at all.
+    records at all.  (100000, 30000) with epsilon 60 has 6,628 records,
+    four chunks of rows; its digests were recorded before the writers
+    made their documents in chunks.
     """
 
     OPTS = RenderOptions(show_curve=True, show_controls=True)
@@ -274,6 +276,10 @@ class TestWriterBytes:
             "7592efd5a08c47a5f859761fff9d3e4519b16fad93d7109069feba92e951bb6f",
             "e2535f34e6a9009534fe1cf26b37514244f673bf7fad2ed84e38ff75219bb972",
         ),
+        (100000, 30000, 60.0): (
+            "d21d2220f3da845755bca63d8b09f89f0c71288cdf72c5296b1de5639204744f",
+            "4a05ddad9fe13fddbf5fee83b000758d3f520201b6001c10510d19a2a6696db8",
+        ),
     }
 
     @pytest.mark.parametrize("case", list(CASES), ids=str)
@@ -297,3 +303,63 @@ class TestWriterBytes:
             for text in (csv_text, svg_text)
         )
         assert digests == self.CASES[case]
+
+
+class TestChunks:
+    """The writers' documents come in chunks of at most CHUNK_ROWS rows."""
+
+    OPTS = RenderOptions(show_curve=True, show_controls=True)
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        report = build_envelope(EnvelopeParams(Center(100000, 30000), 60.0))
+        assert report.neighbor_count > 3 * CHUNK_ROWS
+        return report
+
+    def test_joined_chunks_are_the_documents(self, report):
+        assert "".join(csv_chunks(report)) == to_csv(report)
+        assert "".join(svg_chunks(report, self.OPTS)) == to_svg(report, self.OPTS)
+
+    def test_csv_chunks_hold_whole_rows(self, report):
+        header, *chunks = csv_chunks(report)
+        assert header == CSV_HEADER + "\n"
+        sizes = [chunk.count("\n") for chunk in chunks]
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert max(sizes) == CHUNK_ROWS
+        assert sum(sizes) == report.neighbor_count
+        assert len(chunks) == -(-report.neighbor_count // CHUNK_ROWS)
+
+    def test_svg_chunks_hold_whole_lines(self, report):
+        header, *chunks, trailer = svg_chunks(report, self.OPTS)
+        assert header.startswith("<?xml") and header.endswith(">\n")
+        assert "<line" not in header and "<line" not in trailer
+        assert trailer.endswith("</svg>\n")
+        sizes = [chunk.count("<line ") for chunk in chunks]
+        assert [chunk.count("\n") for chunk in chunks] == sizes
+        assert max(sizes) == CHUNK_ROWS
+        assert sum(sizes) == report.neighbor_count
+
+    def test_svg_header_is_decided_from_every_row(self, report):
+        # The box and stroke width come from all rows, not the first
+        # chunk: reversing the records puts other rows first and must
+        # not change the header or any line.
+        reversed_report = VerificationReport(
+            params=report.params,
+            records=list(reversed(report.records)),
+            neighbor_count=report.neighbor_count,
+            all_bounds_hold=report.all_bounds_hold,
+            max_deviation=report.max_deviation,
+            max_endpoint_gap=report.max_endpoint_gap,
+        )
+        header, *chunks = svg_chunks(report, self.OPTS)
+        header_rev, *chunks_rev = svg_chunks(reversed_report, self.OPTS)
+        assert header_rev == header
+        lines = "".join(chunks).splitlines()
+        assert sorted("".join(chunks_rev).splitlines()) == sorted(lines)
+
+    def test_empty_report_is_header_and_trailer(self):
+        report = empty_report()
+        assert list(csv_chunks(report)) == [CSV_HEADER + "\n"]
+        chunks = list(svg_chunks(report, self.OPTS))
+        assert len(chunks) == 2
+        assert "".join(chunks) == to_svg(report, self.OPTS)
