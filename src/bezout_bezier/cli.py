@@ -9,8 +9,9 @@ Output is written as it is made: neighbors and envelope write their
 rows in chunks of io_render.CHUNK_ROWS, and audit-sweep writes each
 summary row when its combination is done.  A reader that closes stdout
 before the output ends (``neighbors ... | head -1``) gives exit code 1
-and no traceback, and a write error on ``envelope --output`` gives
-exit code 1 and a message; either leaves the output written so far.
+and no traceback; any other failed write, to stdout or to ``envelope
+--output``, gives exit code 1 and the message ``error: cannot write
+<target>: <reason>``.  Either leaves the output written so far.
 """
 
 from __future__ import annotations
@@ -200,7 +201,12 @@ def _report_text(report: VerificationReport):
             + ("ok\n" if dev < eps else "BOUND VIOLATED\n")
             for r, s, a, b, af, bf, t, _, _, dev in chunk
         ])
-    yield (
+    yield _summary_text(report)
+
+
+def _summary_text(report: VerificationReport) -> str:
+    """The closing lines of the text format, which verify prints too."""
+    return (
         f"max_deviation: {format_real(report.max_deviation)}\n"
         f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}\n"
         f"{'PASS' if report.all_bounds_hold else 'FAIL'}\n"
@@ -226,23 +232,14 @@ def cmd_envelope(args) -> int:
         for chunk in chunks:
             _write_stdout(chunk)
     else:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.writelines(chunks)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
     return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
 
 
 def cmd_verify(args) -> int:
     report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
-    _write_stdout(
-        f"neighbor_count: {report.neighbor_count}\n"
-        f"max_deviation: {format_real(report.max_deviation)}\n"
-        f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}\n"
-        f"{'PASS' if report.all_bounds_hold else 'FAIL'}\n"
-    )
+    _write_stdout(f"neighbor_count: {report.neighbor_count}\n" + _summary_text(report))
     return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
 
 
@@ -319,11 +316,19 @@ def main(argv=None) -> int:
     except (DomainError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BrokenPipeError:
-        # The reader closed stdout early.  Point stdout at devnull so
-        # that the final flush at exit does not fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except OSError as exc:
+        # Only writes raise OSError here: audit-sweep reports its own
+        # failed read.  Without --output the target is stdout: point it
+        # at devnull so that the final flush at exit does not fail a
+        # second time, and say nothing if the reader closed it early.
+        target = getattr(args, "output", None)
+        if target is None:
+            target = "stdout"
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return EXIT_USAGE
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -306,7 +306,7 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
     """
     p, q = params.center.p, params.center.q
     eps = params.epsilon
-    rows = kernels.envelope_scan(p, q, eps - 1.0)
+    rows = kernels.envelope_scan(p, q, params.radius)
     max_dev = 0.0
     max_gap = 0.0
     all_ok = True

@@ -122,6 +122,7 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
     """Yield the text of to_svg: header, lines in chunks, then trailer."""
     p, q = report.params.center.p, report.params.center.q
     rows = kernel_rows(report.records)
+    curve = QuadBezier(p, q)
     # The box starts at the origin: it is a control point, and every
     # other coordinate is >= 0 (p > q >= 0, and the normalization box
     # keeps all coefficients >= 0).  Only the maxima need a pass, one
@@ -129,31 +130,23 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
     a_max, b_max, af_max, bf_max = (
         max(map(itemgetter(i), rows), default=0) for i in (2, 3, 4, 5)
     )
-    x_lo = y_lo = 0.0
     x_hi = float(max(p, q, a_max, af_max))
     y_hi = float(max(p, q, b_max, bf_max))
-    pad_x = PADDING_FRACTION * (x_hi - x_lo) or 1.0
-    pad_y = PADDING_FRACTION * (y_hi - y_lo) or 1.0
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-    width = x_hi - x_lo
-    height = y_hi - y_lo
+    pad_x = PADDING_FRACTION * x_hi or 1.0
+    pad_y = PADDING_FRACTION * y_hi or 1.0
+    width = x_hi + pad_x + pad_x
+    height = y_hi + pad_y + pad_y
     diagonal = math.sqrt(width * width + height * height)
     stroke = opts.stroke_width_fraction * diagonal
     height_px = max(1, round(opts.width_px * height / width))
 
-    # Flip: emit (x, -y); the viewBox covers [-y_hi, -y_lo] vertically.
-    def fx(v: float) -> str:
-        return _coord(v)
-
-    def fy(v: float) -> str:
-        return _coord(-v)
-
+    # Flip: emit (x, -y); the viewBox covers [-y_hi - pad_y, pad_y].
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{opts.width_px}" height="{height_px}" '
-        f'viewBox="{fx(x_lo)} {fy(y_hi)} {_coord(width)} {_coord(height)}">\n'
+        f'viewBox="{_coord(-pad_x)} {_coord(-(y_hi + pad_y))} '
+        f'{_coord(width)} {_coord(height)}">\n'
     )
     # Segment endpoints (a, b) and (a_flip, b_flip) are never negative
     # (normalization box), so y = -b prints as "-" before b's digits,
@@ -175,16 +168,15 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
     trailer = []
     if opts.show_controls:
         marker_r = _coord(0.005 * diagonal)
-        for cx, cy in ((float(p), float(q)), (0.0, 0.0), (float(q), float(p))):
+        for pt in curve.control_points():
             trailer.append(
-                f'<circle cx="{fx(cx)}" cy="{fy(cy)}" r="{marker_r}" '
+                f'<circle cx="{_coord(pt.x)}" cy="{_coord(-pt.y)}" r="{marker_r}" '
                 f'fill="{CONTROL_FILL}"/>\n'
             )
     if opts.show_curve:
-        curve = QuadBezier(p, q)
         n = opts.curve_samples
         points = " ".join(
-            "{},{}".format(fx(pt.x), fy(pt.y))
+            "{},{}".format(_coord(pt.x), _coord(-pt.y))
             for pt in (quad_point(curve, i / (n - 1)) for i in range(n))
         )
         trailer.append(

@@ -314,14 +314,29 @@ class TestStreamedEnvelope:
 
 
 class TestVerify:
+    # recorded before verify printed the text format's closing lines
+    REFERENCE_OUT = (
+        "neighbor_count: 1\n"
+        "max_deviation: 0.65675610073\n"
+        "max_endpoint_gap: 0.809605914333\n"
+        "PASS\n"
+    )
+
     def test_reference_center(self, capsys):
-        code, out, _ = run(capsys, "verify", "300", "21", "2")
+        code, out, err = run(capsys, "verify", "300", "21", "2")
         assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0] == "neighbor_count: 1"
-        assert lines[1].startswith("max_deviation: ")
-        assert lines[2].startswith("max_endpoint_gap: ")
-        assert lines[3] == "PASS"
+        assert out == self.REFERENCE_OUT
+        assert err == ""
+
+    def test_bytes(self, capsys):
+        code, out, _ = run(capsys, "verify", "5000", "1234", "20")
+        assert code == EXIT_OK
+        assert out == (
+            "neighbor_count: 678\n"
+            "max_deviation: 18.3554511515\n"
+            "max_endpoint_gap: 18.3799805584\n"
+            "PASS\n"
+        )
 
     def test_small_center(self, capsys):
         code, out, _ = run(capsys, "verify", "10", "3", "2")
@@ -364,8 +379,42 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "300", "21", "2")
         assert code == EXIT_BOUND_FAILED
         assert out.rstrip().endswith("FAIL")
+        assert out == self.REFERENCE_OUT.replace("PASS", "FAIL")
         code, _, _ = run(capsys, "envelope", "300", "21", "2")
         assert code == EXIT_BOUND_FAILED
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedStdoutWrite:
+    """A failed stdout write other than a closed pipe: one line, exit 1.
+
+    Every write to /dev/full fails with ENOSPC: buffered, the small
+    outputs fail at the flush in main; unbuffered, at the first write.
+    """
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "300", "21", "2"],
+            ["verify", "300", "21", "2"],
+            ["neighbors", "300", "21", "3"],
+        ],
+        ids=["envelope", "verify", "neighbors"],
+    )
+    def test_full_device(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bezout_bezier.cli"] + argv,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=cli_env(unbuffered),
+            )
+        assert proc.returncode == EXIT_USAGE
+        assert b"Traceback" not in proc.stderr
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write stdout: ")
 
 
 class TestAuditSweep:

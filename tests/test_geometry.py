@@ -103,6 +103,13 @@ class TestQuadPoint:
         # (1-t)^2 (p,q) + t^2 (q,p) at 1/2 is ((p+q)/4, (p+q)/4)
         assert quad_point(QuadBezier(3, 5), 0.5) == pt(2, 2)
 
+    def test_control_points(self):
+        points = QuadBezier(300, 21).control_points()
+        assert points == (pt(300, 21), pt(0, 0), pt(21, 300))
+        assert all(
+            type(c) is float for point in points for c in (point.x, point.y)
+        )
+
     def test_degenerate_flag(self):
         assert QuadBezier(7, 7).is_degenerate
         assert not QuadBezier(7, 3).is_degenerate
