@@ -13,92 +13,79 @@ The value types (``Point2``, ``CoprimePair``, ``EnvelopeParams``,
 They compare, hash, print, pickle and copy as frozen dataclasses do,
 but they are not dataclasses: ``dataclasses.replace``, ``fields`` and
 ``asdict`` do not apply to them.
+
+``import bezout_bezier`` imports none of the submodules.  Each public
+name, and each submodule named in ``_EXPORTS``, is imported on first
+access (PEP 562), so a command that builds no envelope never compiles
+``envelope``, ``geometry`` or ``io_render``.
 """
 
-from ._backend import backend_name
-from .envelope import (
-    EnvelopeParams,
-    EnvelopeRecord,
-    SweepResult,
-    VerificationReport,
-    audit_sweep,
-    bezout_segment,
-    build_envelope,
-    contact_parameter,
-    endpoint_gaps,
-    sweep_one,
-)
-from .errors import DomainError, HypothesisError
-from .geometry import (
-    Point2,
-    QuadBezier,
-    RayProjection,
-    Segment,
-    alpha,
-    beta,
-    dist_to_origin_line,
-    gamma,
-    linear_bezier,
-    project_onto_ray,
-    quad_point,
-    scale_tolerance,
-    segment_distance,
-    segment_distance_symmetric,
-    tangent_segment,
-)
-from .io_render import RenderOptions, to_csv, to_svg
-from .numtheory import (
-    INT_RANGE,
-    BezoutCoeffs,
-    Center,
-    CoprimePair,
-    bezout_coefficients,
-    coprime_neighbors,
-    extend_pair,
-    flip_bezout,
-    gcd,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BezoutCoeffs",
-    "Center",
-    "CoprimePair",
-    "DomainError",
-    "EnvelopeParams",
-    "EnvelopeRecord",
-    "HypothesisError",
-    "INT_RANGE",
-    "Point2",
-    "QuadBezier",
-    "RayProjection",
-    "RenderOptions",
-    "Segment",
-    "SweepResult",
-    "VerificationReport",
-    "alpha",
-    "audit_sweep",
-    "backend_name",
-    "beta",
-    "bezout_coefficients",
-    "bezout_segment",
-    "build_envelope",
-    "contact_parameter",
-    "coprime_neighbors",
-    "dist_to_origin_line",
-    "endpoint_gaps",
-    "extend_pair",
-    "flip_bezout",
-    "gamma",
-    "gcd",
-    "linear_bezier",
-    "project_onto_ray",
-    "quad_point",
-    "scale_tolerance",
-    "segment_distance",
-    "segment_distance_symmetric",
-    "sweep_one",
-    "to_csv",
-    "to_svg",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "_backend": ("backend_name",),
+    "envelope": (
+        "EnvelopeParams",
+        "EnvelopeRecord",
+        "SweepResult",
+        "VerificationReport",
+        "audit_sweep",
+        "bezout_segment",
+        "build_envelope",
+        "contact_parameter",
+        "endpoint_gaps",
+        "sweep_one",
+    ),
+    "errors": ("DomainError", "HypothesisError"),
+    "geometry": (
+        "Point2",
+        "QuadBezier",
+        "RayProjection",
+        "Segment",
+        "alpha",
+        "beta",
+        "dist_to_origin_line",
+        "gamma",
+        "linear_bezier",
+        "project_onto_ray",
+        "quad_point",
+        "scale_tolerance",
+        "segment_distance",
+        "segment_distance_symmetric",
+        "tangent_segment",
+    ),
+    "io_render": ("RenderOptions", "to_csv", "to_svg"),
+    "numtheory": (
+        "INT_RANGE",
+        "BezoutCoeffs",
+        "Center",
+        "CoprimePair",
+        "bezout_coefficients",
+        "coprime_neighbors",
+        "extend_pair",
+        "flip_bezout",
+        "gcd",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _SOURCE:
+        value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _SOURCE.keys() | _EXPORTS.keys())

@@ -1,10 +1,20 @@
-"""The base class of the package's immutable value types."""
+"""The base class of the package's immutable value types, and their
+integer field check."""
 
 from operator import attrgetter
+
+from .errors import DomainError
 
 # Sets a field past Frozen.__setattr__: for the types' own __init__, and
 # for objects built from data that is already verified.
 setfield = object.__setattr__
+
+
+def require_int(owner: str, name: str, value) -> None:
+    """Raise DomainError, naming the field and value, unless `value` is
+    an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{owner} needs an integer {name} (got {name} = {value!r})")
 
 
 class Frozen:

@@ -12,6 +12,9 @@ before the output ends (``neighbors ... | head -1``) gives exit code 1
 and no traceback; any other failed write, to stdout or to ``envelope
 --output``, gives exit code 1 and the message ``error: cannot write
 <target>: <reason>``.  Either leaves the output written so far.
+
+Each command imports the modules it runs when it runs, so that
+``bezout`` never loads envelope, geometry or io_render.
 """
 
 from __future__ import annotations
@@ -20,15 +23,7 @@ import argparse
 import os
 import sys
 
-from .envelope import (
-    EnvelopeParams,
-    VerificationReport,
-    build_envelope,
-    kernel_rows,
-    sweep_one,
-)
 from .errors import DomainError, HypothesisError
-from .io_render import RenderOptions, chunked, csv_chunks, format_real, svg_chunks
 from .numtheory import Center, CoprimePair, bezout_coefficients, coprime_neighbors
 
 EXIT_OK = 0
@@ -178,6 +173,8 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
+    from .io_render import chunked
+
     pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
     for chunk in chunked(pairs):
         _write_stdout("".join([f"({pair.r},{pair.s})\n" for pair in chunk]))
@@ -185,8 +182,11 @@ def cmd_neighbors(args) -> int:
     return EXIT_OK
 
 
-def _report_text(report: VerificationReport):
+def _report_text(report):
     """Yield the text format: a summary around one line per record."""
+    from .envelope import kernel_rows
+    from .io_render import chunked, format_real
+
     params = report.params
     eps = params.epsilon
     yield (
@@ -204,8 +204,10 @@ def _report_text(report: VerificationReport):
     yield _summary_text(report)
 
 
-def _summary_text(report: VerificationReport) -> str:
+def _summary_text(report) -> str:
     """The closing lines of the text format, which verify prints too."""
+    from .io_render import format_real
+
     return (
         f"max_deviation: {format_real(report.max_deviation)}\n"
         f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}\n"
@@ -214,6 +216,9 @@ def _summary_text(report: VerificationReport) -> str:
 
 
 def cmd_envelope(args) -> int:
+    from .envelope import EnvelopeParams, build_envelope
+    from .io_render import RenderOptions, csv_chunks, svg_chunks
+
     report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
     if args.format == "svg":
         opts = RenderOptions(
@@ -238,6 +243,8 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .envelope import EnvelopeParams, build_envelope
+
     report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
     _write_stdout(f"neighbor_count: {report.neighbor_count}\n" + _summary_text(report))
     return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
@@ -284,6 +291,9 @@ def cmd_audit_sweep(args) -> int:
 
 
 def _audit_row(p: int, q: int, eps: float) -> str:
+    from .envelope import sweep_one
+    from .io_render import format_real
+
     try:
         center = Center(p, q)
     except DomainError as exc:
@@ -301,6 +311,8 @@ def _audit_row(p: int, q: int, eps: float) -> str:
 
 
 def _skip_row(p: int, q: int, eps: float, reason: str) -> str:
+    from .io_render import format_real
+
     # keep the row parseable as CSV: reasons must not introduce columns
     reason = reason.replace(",", ";")
     return f"{p},{q},{format_real(eps)},,,,skipped: {reason}"

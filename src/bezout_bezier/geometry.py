@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen, require_int, setfield
 from .errors import DomainError
 
 
@@ -81,6 +81,8 @@ class QuadBezier(Frozen):
     q: int
 
     def __init__(self, p: int, q: int):
+        require_int("curve", "p", p)
+        require_int("curve", "q", q)
         if p < 1:
             raise DomainError(f"curve needs p >= 1 (got p = {p})")
         if q < 0:

@@ -12,7 +12,7 @@ import math
 from itertools import chain, starmap
 
 from ._backend import kernels
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen, require_int, setfield
 from .errors import DomainError
 
 # The documented supported range: Center, EnvelopeParams and
@@ -33,6 +33,8 @@ class CoprimePair(Frozen):
     s: int
 
     def __init__(self, r: int, s: int):
+        require_int("coprime pair", "r", r)
+        require_int("coprime pair", "s", s)
         if r < 1 or s < 1:
             raise DomainError(
                 f"coprime pair entries must be positive integers (got ({r}, {s}))"
@@ -109,6 +111,8 @@ class Center(Frozen):
     q: int
 
     def __init__(self, p: int, q: int):
+        require_int("center", "p", p)
+        require_int("center", "q", q)
         if p < 1:
             raise DomainError(f"center needs p >= 1 (got p = {p})")
         if q < 0:

@@ -10,7 +10,7 @@ import pytest
 
 import bezout_bezier
 from bezout_bezier import Center, EnvelopeParams, build_envelope, to_csv, to_svg
-from bezout_bezier import cli as cli_module
+from bezout_bezier import envelope
 from bezout_bezier.cli import (
     AUDIT_HEADER,
     EXIT_BOUND_FAILED,
@@ -359,8 +359,8 @@ class TestVerify:
 
     def test_bound_failure_exits_3(self, capsys, monkeypatch):
         # the bound has never failed on real inputs; force a failing
-        # report to pin the exit-code contract
-        from bezout_bezier import cli as cli_module
+        # report to pin the exit-code contract; the commands look
+        # build_envelope up in the envelope module when they run
         from bezout_bezier.envelope import VerificationReport
         from bezout_bezier.envelope import build_envelope as real_build
 
@@ -375,7 +375,7 @@ class TestVerify:
                 max_endpoint_gap=real.max_endpoint_gap,
             )
 
-        monkeypatch.setattr(cli_module, "build_envelope", failing_build)
+        monkeypatch.setattr(envelope, "build_envelope", failing_build)
         code, out, _ = run(capsys, "verify", "300", "21", "2")
         assert code == EXIT_BOUND_FAILED
         assert out.rstrip().endswith("FAIL")
@@ -506,13 +506,13 @@ class TestAuditSweep:
         spec.write_text("10 3 2\n300 21 2\n", encoding="utf-8")
         out = io.StringIO()
         written_before = []
-        real_sweep_one = cli_module.sweep_one
+        real_sweep_one = envelope.sweep_one
 
         def spy(center, eps):
             written_before.append(out.getvalue())
             return real_sweep_one(center, eps)
 
-        monkeypatch.setattr(cli_module, "sweep_one", spy)
+        monkeypatch.setattr(envelope, "sweep_one", spy)
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["audit-sweep", str(spec)]) == EXIT_OK
         header, first, _ = out.getvalue().splitlines(keepends=True)

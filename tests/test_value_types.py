@@ -233,6 +233,10 @@ _HALF_NORM = 0.5 * math.hypot(10, 3)
         (lambda: CoprimePair(1, 2**31 + 1), DomainError,
          "s = 2147483649 exceeds the supported range 2**31"),
         (lambda: CoprimePair(6, 4), DomainError, "(6, 4) is not coprime: gcd = 2"),
+        (lambda: CoprimePair(2.0, 3), DomainError,
+         "coprime pair needs an integer r (got r = 2.0)"),
+        (lambda: CoprimePair(3, True), DomainError,
+         "coprime pair needs an integer s (got s = True)"),
         (lambda: BezoutCoeffs(1, 1, CoprimePair(3, 5)), DomainError,
          "(1, 1) does not satisfy the identity for (3, 5): 1*5 - 1*3 != 1"),
         (lambda: BezoutCoeffs(5, 8, CoprimePair(3, 5)), DomainError,
@@ -243,12 +247,22 @@ _HALF_NORM = 0.5 * math.hypot(10, 3)
          "p = 2147483649 exceeds the supported range 2**31"),
         (lambda: Center(1, 2**31 + 1), DomainError,
          "q = 2147483649 exceeds the supported range 2**31"),
+        (lambda: Center(10.5, 3), DomainError,
+         "center needs an integer p (got p = 10.5)"),
+        (lambda: Center(True, 0), DomainError,
+         "center needs an integer p (got p = True)"),
+        (lambda: Center(10, "3"), DomainError,
+         "center needs an integer q (got q = '3')"),
         (lambda: Point2(math.inf, 0.0), DomainError,
          "coordinates must be finite (got inf, 0.0)"),
         (lambda: Point2(0.0, math.nan), DomainError,
          "coordinates must be finite (got 0.0, nan)"),
         (lambda: QuadBezier(0, 1), DomainError, "curve needs p >= 1 (got p = 0)"),
         (lambda: QuadBezier(1, -1), DomainError, "curve needs q >= 0 (got q = -1)"),
+        (lambda: QuadBezier(2.5, 1), DomainError,
+         "curve needs an integer p (got p = 2.5)"),
+        (lambda: QuadBezier(3, False), DomainError,
+         "curve needs an integer q (got q = False)"),
         (lambda: EnvelopeParams(Center(3, 1), 2.0), HypothesisError,
          "requires p > 3 (got p = 3)"),
         (lambda: EnvelopeParams(Center(4, 7), 2.0), HypothesisError,
