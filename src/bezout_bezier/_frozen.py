@@ -1,9 +1,18 @@
-"""The base class of the package's immutable value types, and their
-integer field check."""
+"""The base class of the package's immutable value types, their
+integer field check, and the row chunks that streamed output is
+written in.
+
+This module imports nothing heavy, so a command that writes rows in
+chunks without building an envelope (neighbors) gets ``chunked``
+without loading envelope, geometry or io_render.
+"""
 
 from operator import attrgetter
 
 from .errors import DomainError
+
+# Rows per chunk of streamed output: about 240 KB of CSV.
+CHUNK_ROWS = 2048
 
 # Sets a field past Frozen.__setattr__: for the types' own __init__, and
 # for objects built from data that is already verified.
@@ -15,6 +24,12 @@ def require_int(owner: str, name: str, value) -> None:
     an int and not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{owner} needs an integer {name} (got {name} = {value!r})")
+
+
+def chunked(rows):
+    """Yield the sequence `rows` in slices of at most CHUNK_ROWS items."""
+    for start in range(0, len(rows), CHUNK_ROWS):
+        yield rows[start:start + CHUNK_ROWS]
 
 
 class Frozen:

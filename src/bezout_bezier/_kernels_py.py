@@ -9,31 +9,22 @@ one inverse of the last product, and a backward pass that peels the
 inverses off one at a time.  That is three small multiplications per
 pair instead of one extended Euclid per pair.
 
-``_row`` is the one copy of the contact/gap formula: the row of one
-pair from the center as floats and a = s**-1 mod r.  It takes the
-inverse as an argument so that ``envelope_scan`` keeps its one ``pow``
-per row: the scan calls it once per pair with the inverse its batch
-already holds, and ``pair_row``, which the single-pair functions of
-``envelope`` read, calls it with one ``pow(s, -1, r)``.  The integers
-that enter the float formulas are converted with ``float()`` first:
-every one is below 2**53, so the conversion is exact, and all-float
-operands let CPython specialise the arithmetic.  Callers validate
-inputs (positive, coprime where required, within the supported integer
-range), so the kernels do not.
+``_row`` is the one copy of the contact/gap formula and of the
+normalization of the Bezout coefficients: the row of one pair from the
+center as floats and a = s**-1 mod r.  It takes the inverse as an
+argument so that ``envelope_scan`` keeps its one ``pow`` per row: the
+scan calls it once per pair with the inverse its batch already holds,
+and ``pair_row``, which the single-pair functions of ``envelope`` and
+``numtheory.bezout_coefficients`` read, calls it with one
+``pow(s, -1, r)``.  The integers that enter the float formulas are
+converted with ``float()`` first: every one is below 2**53, so the
+conversion is exact, and all-float operands let CPython specialise the
+arithmetic.  Callers validate inputs (positive, coprime where
+required, within the supported integer range, a nonnegative radius),
+so the kernels do not.
 """
 
 from math import ceil, floor, gcd, sqrt
-
-
-def bezout_normalized(r, s):
-    """Return (a, b) with a*s - b*r == 1, 0 < a <= r and 0 <= b < s.
-
-    a is the inverse of s modulo r, taken in (0, r] (r when r == 1,
-    where the inverse is 0); that pins b = (a*s - 1) / r into [0, s).
-    Assumes r, s positive and coprime.
-    """
-    a = pow(s, -1, r) or r
-    return a, (a * s - 1) // r
 
 
 def _disk_rows(p, q, radius):
@@ -42,7 +33,8 @@ def _disk_rows(p, q, radius):
     The s of a row are those of the bounding box with gcd(r, s) == 1
     and (r, s) in the disk, in increasing order.  Disk membership is
     decided on the exact integer squared distance cast to float.  Every
-    row shares the column of (s, (s - q)**2), so it is built once.
+    row shares the column of (s, (s - q)**2), so it is built once.  A
+    negative radius gives an empty box, so no row.
     """
     rr = radius * radius
     column = [
@@ -81,15 +73,16 @@ def coprime_pairs_in_disk(p, q, radius):
     Lexicographic (r, s) order.  Disk membership is decided on the exact
     integer squared distance cast to float, as in ``envelope_scan``.
     """
-    if radius < 0.0:
-        return []
     return [(r, s) for r, row in _disk_rows(p, q, radius) for s in row]
 
 
 def _row(pf, qf, r, s, a):
     """The envelope_scan row of (r, s) for the center (pf, qf), as floats.
 
-    a is s**-1 mod r taken in (0, r], as in ``bezout_normalized``.
+    Its (a, b) are the normalized Bezout coefficients of (r, s): the
+    unique a*s - b*r == 1 with 0 < a <= r and 0 <= b < s.  a is the
+    inverse of s modulo r, taken in (0, r] (r when r == 1, where the
+    inverse is 0); that pins b = (a*s - 1) / r into [0, s).
     """
     b = (a * s - 1) // r
     af = s - b
@@ -116,7 +109,10 @@ def _row(pf, qf, r, s, a):
 
 
 def pair_row(p, q, r, s):
-    """The envelope_scan row of the coprime pair (r, s) for center (p, q)."""
+    """The envelope_scan row of the coprime pair (r, s) for center (p, q).
+
+    Its a and b, row[2:4], do not depend on the center.
+    """
     return _row(float(p), float(q), r, s, pow(s, -1, r) or r)
 
 
@@ -135,8 +131,6 @@ def envelope_scan(p, q, radius):
     sit from the chord endpoints at t_contact, and deviation is the
     distance from the segment point to the curve point at t_contact.
     """
-    if radius < 0.0:
-        return []
     pf = float(p)
     qf = float(q)
     return [

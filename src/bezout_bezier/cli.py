@@ -6,15 +6,17 @@ violation, 3 verification failure (a measured deviation at or above
 epsilon, which would falsify the approximation bound).
 
 Output is written as it is made: neighbors and envelope write their
-rows in chunks of io_render.CHUNK_ROWS, and audit-sweep writes each
-summary row when its combination is done.  A reader that closes stdout
-before the output ends (``neighbors ... | head -1``) gives exit code 1
-and no traceback; any other failed write, to stdout or to ``envelope
+rows in chunks of CHUNK_ROWS, and audit-sweep writes each summary row
+when its combination is done.  A reader that closes stdout before the
+output ends (``neighbors ... | head -1``) gives exit code 1 and no
+traceback; any other failed write, to stdout or to ``envelope
 --output``, gives exit code 1 and the message ``error: cannot write
 <target>: <reason>``.  Either leaves the output written so far.
 
-Each command imports the modules it runs when it runs, so that
-``bezout`` never loads envelope, geometry or io_render.
+Each command imports the modules it runs when it runs: ``bezout`` and
+``neighbors`` load none of envelope, geometry and io_render, ``verify``
+and ``audit-sweep`` load envelope and geometry, and only ``envelope``
+loads io_render.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import os
 import sys
 
+from ._frozen import chunked
 from .errors import DomainError, HypothesisError
 from .numtheory import Center, CoprimePair, bezout_coefficients, coprime_neighbors
 
@@ -32,6 +35,11 @@ EXIT_DOMAIN = 2
 EXIT_BOUND_FAILED = 3
 
 AUDIT_HEADER = "p,q,epsilon,neighbor_count,max_deviation,bound_slack,all_ok"
+
+
+def format_real(value: float) -> str:
+    """Reals in the text outputs: 12 significant digits, as in the CSV."""
+    return format(value, ".12g")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,8 +181,6 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    from .io_render import chunked
-
     pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
     for chunk in chunked(pairs):
         _write_stdout("".join([f"({pair.r},{pair.s})\n" for pair in chunk]))
@@ -185,7 +191,6 @@ def cmd_neighbors(args) -> int:
 def _report_text(report):
     """Yield the text format: a summary around one line per record."""
     from .envelope import kernel_rows
-    from .io_render import chunked, format_real
 
     params = report.params
     eps = params.epsilon
@@ -206,8 +211,6 @@ def _report_text(report):
 
 def _summary_text(report) -> str:
     """The closing lines of the text format, which verify prints too."""
-    from .io_render import format_real
-
     return (
         f"max_deviation: {format_real(report.max_deviation)}\n"
         f"max_endpoint_gap: {format_real(report.max_endpoint_gap)}\n"
@@ -292,7 +295,6 @@ def cmd_audit_sweep(args) -> int:
 
 def _audit_row(p: int, q: int, eps: float) -> str:
     from .envelope import sweep_one
-    from .io_render import format_real
 
     try:
         center = Center(p, q)
@@ -311,8 +313,6 @@ def _audit_row(p: int, q: int, eps: float) -> str:
 
 
 def _skip_row(p: int, q: int, eps: float, reason: str) -> str:
-    from .io_render import format_real
-
     # keep the row parseable as CSV: reasons must not introduce columns
     reason = reason.replace(",", ";")
     return f"{p},{q},{format_real(eps)},,,,skipped: {reason}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from ._frozen import Frozen, setfield
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from ._frozen import Frozen, setfield
+# CHUNK_ROWS, the rows per chunk of these documents, is also read from here
+from ._frozen import CHUNK_ROWS, Frozen, chunked, require_int, setfield
 from .envelope import VerificationReport, kernel_rows
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
@@ -29,22 +30,14 @@ CSV_HEADER = (
     "gap_alpha,gap_beta,deviation,bound_ok"
 )
 # The segment coordinates x1..y2 are the coefficients: integers below
-# 10**12, which ".12g" (format_real) prints exactly as "%d" does.
+# 10**12, which ".12g" prints exactly as "%d" does.
 _CSV_ROW = "%d,%d,%d,%d,%d,%d,%.12g,%d,%d,%d,%d,%.12g,%.12g,%.12g,%s\n"
-
-# Rows per chunk: about 240 KB of CSV.
-CHUNK_ROWS = 2048
 
 PADDING_FRACTION = 0.05
 
 SEGMENT_STROKE = "#000000"
 CURVE_STROKE = "#d62728"
 CONTROL_FILL = "#1f77b4"
-
-
-def format_real(value: float) -> str:
-    """Reals in output files: 12 significant digits."""
-    return format(value, ".12g")
 
 
 def _coord(value: float) -> str:
@@ -73,6 +66,8 @@ class RenderOptions(Frozen):
         curve_samples: int = 256,
         stroke_width_fraction: float = 0.0008,
     ):
+        require_int("RenderOptions", "width_px", width_px)
+        require_int("RenderOptions", "curve_samples", curve_samples)
         if width_px < 16:
             raise DomainError(f"width_px must be >= 16 (got {width_px})")
         if curve_samples < 2:
@@ -87,12 +82,6 @@ class RenderOptions(Frozen):
         setfield(self, "show_controls", show_controls)
         setfield(self, "curve_samples", curve_samples)
         setfield(self, "stroke_width_fraction", stroke_width_fraction)
-
-
-def chunked(rows):
-    """Yield the sequence `rows` in slices of at most CHUNK_ROWS items."""
-    for start in range(0, len(rows), CHUNK_ROWS):
-        yield rows[start:start + CHUNK_ROWS]
 
 
 def csv_chunks(report: VerificationReport):

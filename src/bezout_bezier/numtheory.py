@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from itertools import chain, starmap
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from ._frozen import Frozen, require_int, setfield
 from .errors import DomainError
 
@@ -133,8 +133,12 @@ def gcd(x: int, y: int) -> int:
 
 
 def bezout_coefficients(pair: CoprimePair) -> BezoutCoeffs:
-    """The unique (a, b) with a*s - b*r = 1, 0 < a <= r, 0 <= b < s."""
-    a, b = kernels.bezout_normalized(pair.r, pair.s)
+    """The unique (a, b) with a*s - b*r = 1, 0 < a <= r, 0 <= b < s.
+
+    Read from the pair's kernel row (the pair as its own center), which
+    holds the one copy of the normalization rule.
+    """
+    a, b = kernels.pair_row(pair.r, pair.s, pair.r, pair.s)[2:4]
     return BezoutCoeffs(a, b, pair)
 
 

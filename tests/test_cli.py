@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import bezout_bezier
 from bezout_bezier import Center, EnvelopeParams, build_envelope, to_csv, to_svg
-from bezout_bezier import envelope
+from bezout_bezier import _kernels_py, envelope
 from bezout_bezier.cli import (
     AUDIT_HEADER,
     EXIT_BOUND_FAILED,
@@ -384,6 +385,44 @@ class TestVerify:
         assert code == EXIT_BOUND_FAILED
 
 
+class TestRealBoundFailure:
+    """A kernel row whose deviation reaches epsilon, through the real
+    verification path: build_envelope's check, the writers and exit 3."""
+
+    EPS = 2.0
+
+    @pytest.fixture
+    def violated(self, monkeypatch):
+        # the real rows of (300, 21, 2), one of them at the bound; the
+        # envelope module calls the scan through the kernel module
+        rows = _kernels_py.envelope_scan(300, 21, self.EPS - 1.0)
+        rows[-1] = rows[-1][:9] + (self.EPS,)
+        monkeypatch.setattr(_kernels_py, "envelope_scan", lambda p, q, radius: rows)
+        return rows[-1]
+
+    def test_report(self, violated):
+        report = build_envelope(EnvelopeParams(Center(300, 21), self.EPS))
+        assert report.all_bounds_hold is False
+        assert report.max_deviation == self.EPS
+        assert report.records[-1].bound_ok is False
+
+    def test_csv_row(self, capsys, violated):
+        code, out, _ = run(capsys, "envelope", "300", "21", "2")
+        assert code == EXIT_BOUND_FAILED
+        row = out.splitlines()[-1]
+        assert row.startswith(f"{violated[0]},{violated[1]},")
+        assert row.endswith(",2,false")
+
+    def test_text_rows(self, capsys, violated):
+        code, out, _ = run(capsys, "envelope", "300", "21", "2", "--format", "text")
+        assert code == EXIT_BOUND_FAILED
+        lines = out.splitlines()
+        assert lines[-4].startswith(f"({violated[0]},{violated[1]}) ")
+        assert lines[-4].endswith(" deviation=2 BOUND VIOLATED")
+        assert lines[-3] == "max_deviation: 2"
+        assert lines[-1] == "FAIL"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestFailedStdoutWrite:
     """A failed stdout write other than a closed pipe: one line, exit 1.
@@ -453,6 +492,18 @@ class TestAuditSweep:
         assert lines[2].startswith("2147483648,2147483647,3,,,,skipped: ")
         assert "p + epsilon <= 2**31" in lines[2]
         assert lines[3].startswith("300,21,2,1,")
+
+    def test_rows_center_refuses_are_skipped(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text("0 5 2\n10 -1 2\n3000000000 1 2\n", encoding="utf-8")
+        code, out, _ = run(capsys, "audit-sweep", str(spec))
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            "0,5,2,,,,skipped: center needs p >= 1 (got p = 0)",
+            "10,-1,2,,,,skipped: center needs q >= 0 (got q = -1)",
+            "3000000000,1,2,,,,skipped: "
+            "p = 3000000000 exceeds the supported range 2**31",
+        ]
 
     def test_bound_slack_column(self, capsys, tmp_path):
         spec = tmp_path / "sweep.txt"
@@ -567,7 +618,7 @@ class TestParsing:
         assert not re.search(r"\b_\w", err), err
 
 
-def test_console_script_entry_point():
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bezout_bezier.cli", "bezout", "3", "5"],
         capture_output=True,
@@ -575,6 +626,16 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0] == "B(3,5) = (2, 3)"
+
+
+def test_console_script_resolves_to_main():
+    # the [project.scripts] entry that `pip install` makes a command of
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    module, _, attr = scripts["bezout-bezier"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_import_loads_no_heavy_stdlib_modules():

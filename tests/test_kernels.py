@@ -115,7 +115,7 @@ def test_bezout_box_and_identity_random():
         if math.gcd(r, s) != 1:
             continue
         seen += 1
-        a, b = _kernels_py.bezout_normalized(r, s)
+        a, b = _kernels_py.pair_row(r, s, r, s)[2:4]
         assert a * s - b * r == 1
         assert 0 < a <= r
         assert 0 <= b < s

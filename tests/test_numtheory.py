@@ -208,6 +208,11 @@ class TestCoprimeNeighbors:
         with pytest.raises(DomainError):
             coprime_neighbors(Center(3, 3), -1.0)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(DomainError) as excinfo:
+            coprime_neighbors(Center(10, 3), float("nan"))
+        assert str(excinfo.value) == "radius must be a number"
+
     def test_center_validation(self):
         with pytest.raises(DomainError):
             Center(0, 5)

@@ -75,20 +75,31 @@ def test_unknown_name_raises_attribute_error(name):
     assert out == f"module 'bezout_bezier' has no attribute '{name}'\n"
 
 
+# which of LAZY a command loads: none, the two an envelope needs, or all
+NONE, ENVELOPE, ALL = [False, False, False], [True, True, False], [True, True, True]
+
+
 @pytest.mark.parametrize(
     "argv, loads",
     [
-        (["bezout", "299", "21"], False),
-        (["envelope", "300", "21", "2", "--format", "svg"], True),
+        pytest.param(["bezout", "299", "21"], NONE, id="bezout"),
+        pytest.param(["neighbors", "300", "21", "3"], NONE, id="neighbors"),
+        pytest.param(["verify", "300", "21", "2"], ENVELOPE, id="verify"),
+        pytest.param(["audit-sweep", "{spec}"], ENVELOPE, id="audit-sweep"),
+        pytest.param(
+            ["envelope", "300", "21", "2", "--format", "svg"], ALL, id="envelope-svg"
+        ),
     ],
 )
-def test_cli_loads_only_what_the_command_runs(argv, loads):
-    # bezout builds no envelope, so it compiles none of LAZY; the SVG
-    # run shows that the check can fail
+def test_cli_loads_only_what_the_command_runs(argv, loads, tmp_path):
+    # the SVG run shows that the check can fail
+    spec = tmp_path / "sweep.txt"
+    spec.write_text("300 21 2\n10 3 0.5\n", encoding="utf-8")
+    argv = [arg.format(spec=spec) for arg in argv]
     out = fresh(
         "import sys\n"
         "from bezout_bezier import cli\n"
         f"code = cli.main({argv!r})\n"
         f"print(code, [m in sys.modules for m in {LAZY!r}])"
     )
-    assert out.splitlines()[-1] == f"0 {[loads] * len(LAZY)}"
+    assert out.splitlines()[-1] == f"0 {loads}"

@@ -283,6 +283,12 @@ _HALF_NORM = 0.5 * math.hypot(10, 3)
          "curve_samples must be >= 2 (got 1)"),
         (lambda: RenderOptions(stroke_width_fraction=1.0), DomainError,
          "stroke_width_fraction must lie in (0, 1) (got 1.0)"),
+        (lambda: RenderOptions(width_px=100.5), DomainError,
+         "RenderOptions needs an integer width_px (got width_px = 100.5)"),
+        (lambda: RenderOptions(curve_samples=2.5, show_curve=True), DomainError,
+         "RenderOptions needs an integer curve_samples (got curve_samples = 2.5)"),
+        (lambda: RenderOptions(curve_samples=True), DomainError,
+         "RenderOptions needs an integer curve_samples (got curve_samples = True)"),
         (lambda: Point2(1.0), TypeError,
          "Point2.__init__() missing 1 required positional argument: 'y'"),
         (lambda: Segment(Point2(0.0, 0.0), Point2(1.0, 1.0), None), TypeError,
