@@ -5,18 +5,22 @@ Exit codes: 0 success, 1 usage or parse error, 2 domain or hypothesis
 violation, 3 verification failure (a measured deviation at or above
 epsilon, which would falsify the approximation bound).
 
-Output is written as it is made: neighbors and envelope write their
-rows in chunks of CHUNK_ROWS, and audit-sweep writes each summary row
-when its combination is done.  A reader that closes stdout before the
-output ends (``neighbors ... | head -1``) gives exit code 1 and no
-traceback; any other failed write, to stdout or to ``envelope
---output``, gives exit code 1 and the message ``error: cannot write
-<target>: <reason>``.  Either leaves the output written so far.
+Each command returns its exit code and its output as text chunks made
+lazily, and main alone writes them, to stdout or to ``envelope
+--output``.  So output is written as it is made: neighbors and
+envelope make their rows in chunks of CHUNK_ROWS, and audit-sweep
+makes each summary row when its combination is done.  A reader that
+closes stdout before the output ends (``neighbors ... | head -1``)
+gives exit code 1 and no traceback; any other failed write, to stdout
+or to ``envelope --output``, gives exit code 1 and the message
+``error: cannot write <target>: <reason>``.  Either leaves the output
+written so far.
 
 Each command imports the modules it runs when it runs: ``bezout`` and
-``neighbors`` load none of envelope, geometry and io_render, ``verify``
-and ``audit-sweep`` load envelope and geometry, and only ``envelope``
-loads io_render.
+``neighbors`` load none of envelope, geometry and io_render, ``verify``,
+``audit-sweep`` and ``envelope --format text`` load envelope and
+geometry, and only the csv and svg formats of ``envelope`` load
+io_render.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, starmap
 
 from ._frozen import chunked
 from .errors import DomainError, HypothesisError
@@ -170,22 +176,22 @@ def _write_stdout(text: str) -> None:
         data = data[buffer.write(data):]
 
 
-def cmd_bezout(args) -> int:
+def cmd_bezout(args) -> tuple[int, Iterable[str]]:
     coeffs = bezout_coefficients(CoprimePair(args.p, args.q))
     a, b = coeffs.a, coeffs.b
-    _write_stdout(
+    return EXIT_OK, [
         f"B({args.p},{args.q}) = ({a}, {b})\n"
         f"check: {a}*{args.q} - {b}*{args.p} = {a * args.q - b * args.p}\n"
-    )
-    return EXIT_OK
+    ]
 
 
-def cmd_neighbors(args) -> int:
+def cmd_neighbors(args) -> tuple[int, Iterable[str]]:
     pairs = coprime_neighbors(Center(args.p, args.q), args.radius)
-    for chunk in chunked(pairs):
-        _write_stdout("".join([f"({pair.r},{pair.s})\n" for pair in chunk]))
-    _write_stdout(f"count: {len(pairs)}\n")
-    return EXIT_OK
+    lines = (
+        "".join([f"({pair.r},{pair.s})\n" for pair in chunk])
+        for chunk in chunked(pairs)
+    )
+    return EXIT_OK, chain(lines, [f"count: {len(pairs)}\n"])
 
 
 def _report_text(report):
@@ -218,12 +224,19 @@ def _summary_text(report) -> str:
     )
 
 
-def cmd_envelope(args) -> int:
+def _checked_report(args):
+    """Build the envelope; return (exit code, report), code 3 if a bound fails."""
     from .envelope import EnvelopeParams, build_envelope
-    from .io_render import RenderOptions, csv_chunks, svg_chunks
 
     report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
+    return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED, report
+
+
+def cmd_envelope(args) -> tuple[int, Iterable[str]]:
+    code, report = _checked_report(args)
     if args.format == "svg":
+        from .io_render import RenderOptions, svg_chunks
+
         opts = RenderOptions(
             width_px=args.width_px,
             show_curve=args.show_curve,
@@ -231,26 +244,17 @@ def cmd_envelope(args) -> int:
             curve_samples=args.curve_samples,
             stroke_width_fraction=args.stroke_width_fraction,
         )
-        chunks = svg_chunks(report, opts)
-    elif args.format == "csv":
-        chunks = csv_chunks(report)
-    else:
-        chunks = _report_text(report)
-    if args.output is None:
-        for chunk in chunks:
-            _write_stdout(chunk)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
-    return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
+        return code, svg_chunks(report, opts)
+    if args.format == "csv":
+        from .io_render import csv_chunks
+
+        return code, csv_chunks(report)
+    return code, _report_text(report)
 
 
-def cmd_verify(args) -> int:
-    from .envelope import EnvelopeParams, build_envelope
-
-    report = build_envelope(EnvelopeParams(Center(args.p, args.q), args.epsilon))
-    _write_stdout(f"neighbor_count: {report.neighbor_count}\n" + _summary_text(report))
-    return EXIT_OK if report.all_bounds_hold else EXIT_BOUND_FAILED
+def cmd_verify(args) -> tuple[int, Iterable[str]]:
+    code, report = _checked_report(args)
+    return code, [f"neighbor_count: {report.neighbor_count}\n" + _summary_text(report)]
 
 
 def _parse_sweep_spec(text: str) -> list[tuple[int, int, float]]:
@@ -272,25 +276,21 @@ def _parse_sweep_spec(text: str) -> list[tuple[int, int, float]]:
     return rows
 
 
-def cmd_audit_sweep(args) -> int:
+def cmd_audit_sweep(args) -> tuple[int, Iterable[str]]:
     try:
         with open(args.spec_path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.spec_path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, []
     try:
         rows = _parse_sweep_spec(text)
     except ValueError as exc:
         print(f"error: {args.spec_path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # The whole spec has parsed: from here on, each row is written (and
-    # flushed) as soon as its combination is done.
-    _write_stdout(AUDIT_HEADER + "\n")
-    for p, q, eps in rows:
-        _write_stdout(_audit_row(p, q, eps) + "\n")
-        sys.stdout.flush()
-    return EXIT_OK
+        return EXIT_USAGE, []
+    # The whole spec has parsed: from here on, each row is made (and
+    # written) as soon as its combination is done.
+    return EXIT_OK, chain([AUDIT_HEADER + "\n"], starmap(_audit_row, rows))
 
 
 def _audit_row(p: int, q: int, eps: float) -> str:
@@ -308,22 +308,31 @@ def _audit_row(p: int, q: int, eps: float) -> str:
     return (
         f"{p},{q},{format_real(eps)},{report.neighbor_count},"
         f"{format_real(report.max_deviation)},{format_real(slack)},"
-        f"{'true' if report.all_bounds_hold else 'false'}"
+        f"{'true' if report.all_bounds_hold else 'false'}\n"
     )
 
 
 def _skip_row(p: int, q: int, eps: float, reason: str) -> str:
     # keep the row parseable as CSV: reasons must not introduce columns
     reason = reason.replace(",", ";")
-    return f"{p},{q},{format_real(eps)},,,,skipped: {reason}"
+    return f"{p},{q},{format_real(eps)},,,,skipped: {reason}\n"
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The file is opened only after the command has returned, so a
+    # refused run creates none and leaves an existing one as it was.
+    target = getattr(args, "output", None)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        code, chunks = args.func(args)
+        if target is None:
+            for chunk in chunks:
+                _write_stdout(chunk)
+                sys.stdout.flush()  # a closed pipe shows here, not at exit
+        else:
+            with open(target, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
         return code
     except (DomainError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -333,7 +342,6 @@ def main(argv=None) -> int:
         # failed read.  Without --output the target is stdout: point it
         # at devnull so that the final flush at exit does not fail a
         # second time, and say nothing if the reader closed it early.
-        target = getattr(args, "output", None)
         if target is None:
             target = "stdout"
             devnull = os.open(os.devnull, os.O_WRONLY)

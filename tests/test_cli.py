@@ -204,6 +204,23 @@ class TestEnvelope:
         assert code == EXIT_DOMAIN
         assert fragment in err
 
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["absent", "present"])
+    def test_refused_run_leaves_output_alone(self, capsys, tmp_path, existing):
+        # main opens --output only after the command has returned
+        target = tmp_path / "out.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+        code, out, err = run(
+            capsys, "envelope", "10", "3", "0.5", "--output", str(target)
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "epsilon > 1" in err
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
+
     def test_render_flags(self, capsys):
         code, out, _ = run(
             capsys,
@@ -530,6 +547,17 @@ class TestAuditSweep:
         code, _, err = run(capsys, "audit-sweep", str(tmp_path / "missing.txt"))
         assert code == EXIT_USAGE
         assert "cannot read" in err
+
+    def test_spec_not_utf8(self, capsys, tmp_path):
+        spec = tmp_path / "bad.txt"
+        spec.write_bytes(b"300 21 2\n\xff\xfe 5 2\n")
+        code, out, err = run(capsys, "audit-sweep", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: cannot read {spec}: 'utf-8' codec can't decode byte 0xff "
+            "in position 9: invalid start byte\n"
+        )
 
     def test_determinism(self, capsys, tmp_path):
         spec = tmp_path / "sweep.txt"

@@ -87,6 +87,13 @@ NONE, ENVELOPE, ALL = [False, False, False], [True, True, False], [True, True, T
         pytest.param(["verify", "300", "21", "2"], ENVELOPE, id="verify"),
         pytest.param(["audit-sweep", "{spec}"], ENVELOPE, id="audit-sweep"),
         pytest.param(
+            ["envelope", "300", "21", "2", "--format", "text"], ENVELOPE,
+            id="envelope-text",
+        ),
+        pytest.param(
+            ["envelope", "300", "21", "2", "--format", "csv"], ALL, id="envelope-csv"
+        ),
+        pytest.param(
             ["envelope", "300", "21", "2", "--format", "svg"], ALL, id="envelope-svg"
         ),
     ],
