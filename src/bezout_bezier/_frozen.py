@@ -1,6 +1,6 @@
 """The base class of the package's immutable value types, their
-integer field check, and the row chunks that streamed output is
-written in.
+integer field check with the supported range, and the row chunks that
+streamed output is written in.
 
 This module imports nothing heavy, so a command that writes rows in
 chunks without building an envelope (neighbors) gets ``chunked``
@@ -19,11 +19,24 @@ CHUNK_ROWS = 2048
 setfield = object.__setattr__
 
 
-def require_int(owner: str, name: str, value) -> None:
+# The documented supported range: the integer fields that opt in
+# (Center, CoprimePair), EnvelopeParams and coprime_neighbors refuse
+# values beyond it.
+INT_RANGE = 2**31
+
+
+def require_int(
+    owner: str, name: str, value, minimum: int | None = None, in_range: bool = False
+) -> None:
     """Raise DomainError, naming the field and value, unless `value` is
-    an int and not a bool."""
+    an int and not a bool, is at least `minimum` when one is given, and
+    is at most INT_RANGE when `in_range` is set."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{owner} needs an integer {name} (got {name} = {value!r})")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{owner} needs {name} >= {minimum} (got {name} = {value})")
+    if in_range and value > INT_RANGE:
+        raise DomainError(f"{name} = {value} exceeds the supported range 2**31")
 
 
 def chunked(rows):

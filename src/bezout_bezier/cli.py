@@ -88,60 +88,71 @@ def build_parser() -> argparse.ArgumentParser:
     positive_int = _checked(int, lambda v: v >= 1, "expected a positive integer")
     nonnegative_int = _checked(int, lambda v: v >= 0, "expected a nonnegative integer")
 
-    sp = sub.add_parser("bezout", parents=[], help="normalized Bezout coefficients")
+    sp = sub.add_parser("bezout", help="normalized Bezout coefficients")
     sp.add_argument("p", type=positive_int)
     sp.add_argument("q", type=positive_int)
     sp.set_defaults(func=cmd_bezout)
 
-    sp = sub.add_parser("neighbors", help="coprime pairs within a disk")
-    sp.add_argument("p", type=positive_int)
-    sp.add_argument("q", type=nonnegative_int)
+    # The arguments that neighbors, envelope and verify share.
+    center = argparse.ArgumentParser(add_help=False)
+    center.add_argument("p", type=positive_int)
+    center.add_argument("q", type=nonnegative_int)
+    center_eps = argparse.ArgumentParser(add_help=False, parents=[center])
+    center_eps.add_argument("epsilon", type=float)
+
+    sp = sub.add_parser(
+        "neighbors", parents=[center], help="coprime pairs within a disk"
+    )
     sp.add_argument(
         "radius",
         type=_checked(float, lambda v: v >= 0.0, "expected a nonnegative number"),
     )
     sp.set_defaults(func=cmd_neighbors)
 
-    for name, func, help_text in (
-        ("envelope", cmd_envelope, "build the segment family and write CSV/SVG"),
-        ("verify", cmd_verify, "check the deviation bound and print PASS/FAIL"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("p", type=positive_int)
-        sp.add_argument("q", type=nonnegative_int)
-        sp.add_argument("epsilon", type=float)
-        if name == "envelope":
-            sp.add_argument(
-                "--format",
-                choices=("csv", "svg", "text"),
-                default="csv",
-                help="output format (default: csv)",
-            )
-            sp.add_argument(
-                "--output", default=None, help="write to this file instead of stdout"
-            )
-            sp.add_argument(
-                "--width-px",
-                type=_checked(int, lambda v: v >= 16, "width must be at least 16 px"),
-                default=800,
-            )
-            sp.add_argument("--show-curve", action="store_true")
-            sp.add_argument("--show-controls", action="store_true")
-            sp.add_argument(
-                "--curve-samples",
-                type=_checked(int, lambda v: v >= 2, "need at least 2 samples"),
-                default=256,
-            )
-            sp.add_argument(
-                "--stroke-width-fraction",
-                type=_checked(
-                    float,
-                    lambda v: 0.0 < v < 1.0,
-                    "stroke fraction must lie in (0, 1)",
-                ),
-                default=0.0008,
-            )
-        sp.set_defaults(func=func)
+    # A render flag that is not given sets no attribute, so the defaults
+    # are RenderOptions' own; cmd_envelope passes the flags by field name.
+    sp = sub.add_parser(
+        "envelope",
+        parents=[center_eps],
+        argument_default=argparse.SUPPRESS,
+        help="build the segment family and write CSV/SVG",
+    )
+    sp.add_argument(
+        "--format",
+        choices=("csv", "svg", "text"),
+        default="csv",
+        help="output format (default: csv)",
+    )
+    sp.add_argument(
+        "--output", default=None, help="write to this file instead of stdout"
+    )
+    # These bounds repeat RenderOptions' own so that a bad flag is a usage
+    # error (exit 1) at parse time; RenderOptions would refuse it with a
+    # DomainError (exit 2), and only after the envelope is built.
+    sp.add_argument(
+        "--width-px",
+        type=_checked(int, lambda v: v >= 16, "width must be at least 16 px"),
+    )
+    sp.add_argument("--show-curve", action="store_true")
+    sp.add_argument("--show-controls", action="store_true")
+    sp.add_argument(
+        "--curve-samples",
+        type=_checked(int, lambda v: v >= 2, "need at least 2 samples"),
+    )
+    sp.add_argument(
+        "--stroke-width-fraction",
+        type=_checked(
+            float, lambda v: 0.0 < v < 1.0, "stroke fraction must lie in (0, 1)"
+        ),
+    )
+    sp.set_defaults(func=cmd_envelope)
+
+    sp = sub.add_parser(
+        "verify",
+        parents=[center_eps],
+        help="check the deviation bound and print PASS/FAIL",
+    )
+    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser(
         "audit-sweep",
@@ -237,13 +248,8 @@ def cmd_envelope(args) -> tuple[int, Iterable[str]]:
     if args.format == "svg":
         from .io_render import RenderOptions, svg_chunks
 
-        opts = RenderOptions(
-            width_px=args.width_px,
-            show_curve=args.show_curve,
-            show_controls=args.show_controls,
-            curve_samples=args.curve_samples,
-            stroke_width_fraction=args.stroke_width_fraction,
-        )
+        flags = vars(args).keys() & RenderOptions._fields
+        opts = RenderOptions(**{name: getattr(args, name) for name in flags})
         return code, svg_chunks(report, opts)
     if args.format == "csv":
         from .io_render import csv_chunks

@@ -44,7 +44,7 @@ class EnvelopeParams(Frozen):
             raise HypothesisError(f"requires p > 3 (got p = {p})")
         if q >= p:
             raise HypothesisError(f"requires 0 <= q < p (got p = {p} and q = {q})")
-        if not isinstance(epsilon, (int, float)) or not math.isfinite(epsilon):
+        if not isinstance(epsilon, (int, float)) or not -math.inf < epsilon < math.inf:
             raise HypothesisError(f"requires a finite epsilon (got {epsilon!r})")
         if epsilon <= 1:
             raise HypothesisError(f"requires epsilon > 1 (got epsilon = {epsilon})")

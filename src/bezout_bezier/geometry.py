@@ -81,12 +81,8 @@ class QuadBezier(Frozen):
     q: int
 
     def __init__(self, p: int, q: int):
-        require_int("curve", "p", p)
-        require_int("curve", "q", q)
-        if p < 1:
-            raise DomainError(f"curve needs p >= 1 (got p = {p})")
-        if q < 0:
-            raise DomainError(f"curve needs q >= 0 (got q = {q})")
+        require_int("curve", "p", p, minimum=1)
+        require_int("curve", "q", q, minimum=0)
         setfield(self, "p", p)
         setfield(self, "q", q)
 

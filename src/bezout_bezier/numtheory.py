@@ -12,17 +12,8 @@ import math
 from itertools import chain, starmap
 
 from . import _kernels_py as kernels
-from ._frozen import Frozen, require_int, setfield
+from ._frozen import INT_RANGE, Frozen, require_int, setfield
 from .errors import DomainError
-
-# The documented supported range: Center, EnvelopeParams and
-# coprime_neighbors refuse inputs whose values would exceed it.
-INT_RANGE = 2**31
-
-
-def _check_magnitude(name: str, value: int) -> None:
-    if value > INT_RANGE:
-        raise DomainError(f"{name} = {value} exceeds the supported range 2**31")
 
 
 class CoprimePair(Frozen):
@@ -33,14 +24,12 @@ class CoprimePair(Frozen):
     s: int
 
     def __init__(self, r: int, s: int):
-        require_int("coprime pair", "r", r)
-        require_int("coprime pair", "s", s)
+        require_int("coprime pair", "r", r, in_range=True)
+        require_int("coprime pair", "s", s, in_range=True)
         if r < 1 or s < 1:
             raise DomainError(
                 f"coprime pair entries must be positive integers (got ({r}, {s}))"
             )
-        _check_magnitude("r", r)
-        _check_magnitude("s", s)
         g = math.gcd(r, s)
         if g != 1:
             raise DomainError(f"({r}, {s}) is not coprime: gcd = {g}")
@@ -84,6 +73,8 @@ class BezoutCoeffs(Frozen):
     pair: CoprimePair
 
     def __init__(self, a: int, b: int, pair: CoprimePair):
+        require_int("BezoutCoeffs", "a", a)
+        require_int("BezoutCoeffs", "b", b)
         p, q = pair.r, pair.s
         if a * q - b * p != 1:
             raise DomainError(
@@ -111,14 +102,8 @@ class Center(Frozen):
     q: int
 
     def __init__(self, p: int, q: int):
-        require_int("center", "p", p)
-        require_int("center", "q", q)
-        if p < 1:
-            raise DomainError(f"center needs p >= 1 (got p = {p})")
-        if q < 0:
-            raise DomainError(f"center needs q >= 0 (got q = {q})")
-        _check_magnitude("p", p)
-        _check_magnitude("q", q)
+        require_int("center", "p", p, minimum=1, in_range=True)
+        require_int("center", "q", q, minimum=0, in_range=True)
         setfield(self, "p", p)
         setfield(self, "q", q)
 
@@ -169,9 +154,15 @@ def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     when it qualifies.  An empty list is a valid result.  The kernel's
     pairs are checked in bulk for everything CoprimePair checks one at a
     time (entries in [1, 2**31], gcd 1), at C speed; a pair that fails
-    raises DomainError naming it.
+    raises DomainError naming it.  `radius` is an int or a float, not a
+    bool: anything else raises DomainError.
     """
-    radius = float(radius)
+    if not isinstance(radius, (int, float)) or isinstance(radius, bool):
+        raise DomainError("radius must be a number")
+    try:
+        radius = float(radius)
+    except OverflowError:  # an int beyond every float, so beyond the range
+        radius = math.inf if radius > 0 else -math.inf
     if math.isnan(radius):
         raise DomainError("radius must be a number")
     if radius < 0:

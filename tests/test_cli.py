@@ -20,7 +20,7 @@ from bezout_bezier.cli import (
     EXIT_USAGE,
     main,
 )
-from bezout_bezier.io_render import CSV_HEADER
+from bezout_bezier.io_render import CSV_HEADER, RenderOptions
 
 
 def run(capsys, *argv):
@@ -232,6 +232,26 @@ class TestEnvelope:
         assert "<polyline" in out
         assert out.count("<circle") == 3
         assert 'width="400"' in out
+
+    @pytest.mark.parametrize(
+        "flags, options",
+        [
+            ((), {}),
+            (
+                ("--width-px", "400", "--show-curve", "--show-controls",
+                 "--curve-samples", "32", "--stroke-width-fraction", "0.01"),
+                {"opts": RenderOptions(400, True, True, 32, 0.01)},
+            ),
+        ],
+    )
+    def test_svg_is_to_svg_with_the_given_options(self, capsys, flags, options):
+        # a flag that is not given takes RenderOptions' own default
+        code, out, _ = run(
+            capsys, "envelope", "300", "21", "2", "--format", "svg", *flags
+        )
+        assert code == EXIT_OK
+        report = build_envelope(EnvelopeParams(Center(300, 21), 2.0))
+        assert out == to_svg(report, **options)
 
     def test_bad_render_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -606,6 +626,96 @@ class TestAuditSweep:
         assert "line 3" in err
 
 
+# What --help prints at 80 columns, for the program ("") and each
+# command.  The first paragraph is the usage, which a usage error
+# prints too.
+HELP = {
+    "": """\
+usage: bezout-bezier [-h] {bezout,neighbors,envelope,verify,audit-sweep} ...
+
+Approximate the quadratic Bezier curve for control points (p,q), (0,0), (q,p)
+by segments joining Bezout coefficients of coprime pairs near (p,q), and
+verify the deviation bounds.
+
+positional arguments:
+  {bezout,neighbors,envelope,verify,audit-sweep}
+    bezout              normalized Bezout coefficients
+    neighbors           coprime pairs within a disk
+    envelope            build the segment family and write CSV/SVG
+    verify              check the deviation bound and print PASS/FAIL
+    audit-sweep         run many (p, q, epsilon) combinations from a spec file
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "bezout": """\
+usage: bezout-bezier bezout [-h] p q
+
+positional arguments:
+  p
+  q
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "neighbors": """\
+usage: bezout-bezier neighbors [-h] p q radius
+
+positional arguments:
+  p
+  q
+  radius
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "envelope": """\
+usage: bezout-bezier envelope [-h] [--format {csv,svg,text}] [--output OUTPUT]
+                              [--width-px WIDTH_PX] [--show-curve]
+                              [--show-controls]
+                              [--curve-samples CURVE_SAMPLES]
+                              [--stroke-width-fraction STROKE_WIDTH_FRACTION]
+                              p q epsilon
+
+positional arguments:
+  p
+  q
+  epsilon
+
+options:
+  -h, --help            show this help message and exit
+  --format {csv,svg,text}
+                        output format (default: csv)
+  --output OUTPUT       write to this file instead of stdout
+  --width-px WIDTH_PX
+  --show-curve
+  --show-controls
+  --curve-samples CURVE_SAMPLES
+  --stroke-width-fraction STROKE_WIDTH_FRACTION
+""",
+    "verify": """\
+usage: bezout-bezier verify [-h] p q epsilon
+
+positional arguments:
+  p
+  q
+  epsilon
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "audit-sweep": """\
+usage: bezout-bezier audit-sweep [-h] spec_path
+
+positional arguments:
+  spec_path   file of 'p q epsilon' lines; '#' starts a comment
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
+
+
 class TestParsing:
     def test_no_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -621,6 +731,37 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"] if command else ["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    @pytest.mark.parametrize(
+        "command, required",
+        [
+            ("", "command"),
+            ("bezout", "p, q"),
+            ("neighbors", "p, q, radius"),
+            ("envelope", "p, q, epsilon"),
+            ("verify", "p, q, epsilon"),
+            ("audit-sweep", "spec_path"),
+        ],
+    )
+    def test_missing_arguments_text(self, capsys, monkeypatch, command, required):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] if command else [])
+        assert excinfo.value.code == EXIT_USAGE
+        usage = HELP[command].split("\n\n")[0]
+        prog = f"bezout-bezier {command}".rstrip()
+        assert capsys.readouterr().err == (
+            f"{usage}\n{prog}: error: the following arguments are required: "
+            f"{required}\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -213,6 +213,26 @@ class TestCoprimeNeighbors:
             coprime_neighbors(Center(10, 3), float("nan"))
         assert str(excinfo.value) == "radius must be a number"
 
+    @pytest.mark.parametrize("radius", ["2", True, None, 2 + 0j])
+    def test_radius_that_is_not_a_number_rejected(self, radius):
+        with pytest.raises(DomainError) as excinfo:
+            coprime_neighbors(Center(10, 3), radius)
+        assert str(excinfo.value) == "radius must be a number"
+
+    @pytest.mark.parametrize(
+        "radius, message",
+        [
+            (10**400, "neighborhood extends beyond the supported range 2**31 "
+                      "(got p = 10, q = 3 and radius = inf)"),
+            (-10**400, "radius must be nonnegative (got -inf)"),
+        ],
+        ids=["10**400", "-10**400"],
+    )
+    def test_int_beyond_the_floats_refused(self, radius, message):
+        with pytest.raises(DomainError) as excinfo:
+            coprime_neighbors(Center(10, 3), radius)
+        assert str(excinfo.value) == message
+
     def test_center_validation(self):
         with pytest.raises(DomainError):
             Center(0, 5)

@@ -241,6 +241,14 @@ _HALF_NORM = 0.5 * math.hypot(10, 3)
          "(1, 1) does not satisfy the identity for (3, 5): 1*5 - 1*3 != 1"),
         (lambda: BezoutCoeffs(5, 8, CoprimePair(3, 5)), DomainError,
          "(5, 8) lies outside the normalization box 0 < a <= 3, 0 <= b < 5"),
+        (lambda: BezoutCoeffs(2.0, 3, CoprimePair(3, 5)), DomainError,
+         "BezoutCoeffs needs an integer a (got a = 2.0)"),
+        (lambda: BezoutCoeffs(2, 3.0, CoprimePair(3, 5)), DomainError,
+         "BezoutCoeffs needs an integer b (got b = 3.0)"),
+        (lambda: BezoutCoeffs(True, 0, CoprimePair(1, 1)), DomainError,
+         "BezoutCoeffs needs an integer a (got a = True)"),
+        (lambda: BezoutCoeffs(1, False, CoprimePair(1, 1)), DomainError,
+         "BezoutCoeffs needs an integer b (got b = False)"),
         (lambda: Center(0, 1), DomainError, "center needs p >= 1 (got p = 0)"),
         (lambda: Center(1, -1), DomainError, "center needs q >= 0 (got q = -1)"),
         (lambda: Center(2**31 + 1, 0), DomainError,
@@ -275,6 +283,12 @@ _HALF_NORM = 0.5 * math.hypot(10, 3)
          "requires epsilon > 1 (got epsilon = 1)"),
         (lambda: EnvelopeParams(Center(10, 3), 99.0), HypothesisError,
          f"requires epsilon <= ||(p,q)||/2 = {_HALF_NORM} (got epsilon = 99.0)"),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), 10**400), HypothesisError,
+            f"requires epsilon <= ||(p,q)||/2 = {_HALF_NORM} "
+            f"(got epsilon = {10**400})",
+            id="huge int epsilon",
+        ),
         (lambda: EnvelopeParams(Center(2**31, 2**31 - 1), 3.0), DomainError,
          "requires p + epsilon <= 2**31 (got p = 2147483648 and epsilon = 3.0)"),
         (lambda: RenderOptions(width_px=15), DomainError,
