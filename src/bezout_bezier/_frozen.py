@@ -1,6 +1,7 @@
-"""The base class of the package's immutable value types, their
-integer field check with the supported range, and the row chunks that
-streamed output is written in.
+"""The base class of the package's immutable value types, the one store
+of their fields, their integer field check with the supported range, the
+text their error messages give a value, and the row chunks that streamed
+output is written in.
 
 This module imports nothing heavy, so a command that writes rows in
 chunks without building an envelope (neighbors) gets ``chunked``
@@ -14,15 +15,31 @@ from .errors import DomainError
 # Rows per chunk of streamed output: about 240 KB of CSV.
 CHUNK_ROWS = 2048
 
-# Sets a field past Frozen.__setattr__: for the types' own __init__, and
-# for objects built from data that is already verified.
-setfield = object.__setattr__
-
-
 # The documented supported range: the integer fields that opt in
 # (Center, CoprimePair), EnvelopeParams and coprime_neighbors refuse
 # values beyond it.
 INT_RANGE = 2**31
+
+
+def setfields(obj, *values) -> None:
+    """Set the fields of `obj` to `values`, in ``__slots__`` order, through
+    the slots' own setters, past the frozen __setattr__."""
+    for setter, value in zip(obj._setters, values):
+        setter(obj, value)
+
+
+def show(*values) -> str:
+    """`values` as an error message prints them, joined by ", "."""
+    return ", ".join(map(_show, values))
+
+
+def _show(value) -> str:
+    """str(value), or for an int too long for str() its sign and size, so
+    that a message about it does not fail."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
 def require_int(
@@ -34,9 +51,11 @@ def require_int(
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{owner} needs an integer {name} (got {name} = {value!r})")
     if minimum is not None and value < minimum:
-        raise DomainError(f"{owner} needs {name} >= {minimum} (got {name} = {value})")
+        raise DomainError(
+            f"{owner} needs {name} >= {minimum} (got {name} = {show(value)})"
+        )
     if in_range and value > INT_RANGE:
-        raise DomainError(f"{name} = {value} exceeds the supported range 2**31")
+        raise DomainError(f"{name} = {show(value)} exceeds the supported range 2**31")
 
 
 def chunked(rows):
@@ -48,9 +67,12 @@ def chunked(rows):
 class Frozen:
     """An immutable record whose fields are its ``_fields``, in order.
 
-    A subclass lists its fields (two or more) in ``__slots__`` and sets
-    them in its own ``__init__`` with ``setfield``; one that derives
-    them from other slots names them in ``_fields``.  Instances compare
+    A subclass lists its fields (two or more) in ``__slots__``, and its
+    ``__init__`` takes them in that order and stores them with one
+    ``setfields`` call; one that derives its fields from other slots
+    names them, in the order its ``__init__`` takes them, in ``_fields``.
+    That order is the constructor's contract: pickling and copying
+    rebuild an instance as ``cls(*fields)``.  Instances compare
     equal only to instances of the same class with equal fields, hash
     as the tuple of their fields, print as ``Name(field=value, ...)``,
     refuse assignment and deletion with AttributeError, and pickle and
@@ -63,6 +85,7 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._astuple = attrgetter(*cls._fields)
+        cls._setters = [getattr(cls, name).__set__ for name in cls.__slots__]
         cls.__match_args__ = cls._fields
 
     def __setattr__(self, name, value):

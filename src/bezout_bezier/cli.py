@@ -6,10 +6,13 @@ violation, 3 verification failure (a measured deviation at or above
 epsilon, which would falsify the approximation bound).
 
 Each command returns its exit code and its output as text chunks made
-lazily, and main alone writes them, to stdout or to ``envelope
---output``.  So output is written as it is made: neighbors and
-envelope make their rows in chunks of CHUNK_ROWS, and audit-sweep
-makes each summary row when its combination is done.  A reader that
+lazily, and main alone writes them, into one stream: stdout, or the
+``envelope --output`` file (UTF-8), which it opens once the command
+has returned.  One writer, ``_write``, serves both: it writes each
+chunk whole to the stream's binary layer and flushes it.  So output is
+written as it is made: neighbors and envelope make their rows in
+chunks of CHUNK_ROWS, and audit-sweep makes each summary row when its
+combination is done.  A reader that
 closes stdout before the output ends (``neighbors ... | head -1``)
 gives exit code 1 and no traceback; any other failed write, to stdout
 or to ``envelope --output``, gives exit code 1 and the message
@@ -166,25 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(text: str) -> None:
-    """Write all of `text` to stdout; a closed pipe raises BrokenPipeError.
+def _write(stream, text: str) -> None:
+    """Write all of `text` to `stream`, stdout or the --output file, and
+    flush it.
 
     The text layer ignores how much of a write reached the file.  With
-    PYTHONUNBUFFERED=1 its binary layer is the raw file, whose write to
-    a pipe can take only part of the bytes, and the rest would be lost
-    without an error.  So the bytes go to the binary layer, which
-    returns the count, until all are written.  A stream without one
-    (io.StringIO) takes the text as it is.
+    PYTHONUNBUFFERED=1 stdout's binary layer is the raw file, whose
+    write to a pipe can take only part of the bytes, and the rest would
+    be lost without an error.  So the bytes go to the binary layer,
+    which returns the count, until all are written.  A stream without
+    one (io.StringIO) takes the text as it is.  The flush makes a failed
+    write, or a reader that closed stdout, show at this chunk.
     """
-    stream = sys.stdout
-    buffer = getattr(stream, "buffer", None)
-    if buffer is None:
+    if not hasattr(stream, "buffer"):
         stream.write(text)
         return
     stream.flush()
     data = memoryview(text.encode(stream.encoding, stream.errors))
     while data:
-        data = data[buffer.write(data):]
+        data = data[stream.buffer.write(data):]
+    stream.flush()
 
 
 def cmd_bezout(args) -> tuple[int, Iterable[str]]:
@@ -284,8 +288,9 @@ def _parse_sweep_spec(text: str) -> list[tuple[int, int, float]]:
 
 def cmd_audit_sweep(args) -> tuple[int, Iterable[str]]:
     try:
+        # A leading byte order mark, which some editors write, is not text.
         with open(args.spec_path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.spec_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE, []
@@ -327,18 +332,18 @@ def _skip_row(p: int, q: int, eps: float, reason: str) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The file is opened only after the command has returned, so a
-    # refused run creates none and leaves an existing one as it was.
     target = getattr(args, "output", None)
     try:
         code, chunks = args.func(args)
-        if target is None:
+        # The file is opened only after the command has returned, so a
+        # refused run creates none and leaves an existing one as it was.
+        stream = sys.stdout if target is None else open(target, "w", encoding="utf-8")
+        try:
             for chunk in chunks:
-                _write_stdout(chunk)
-                sys.stdout.flush()  # a closed pipe shows here, not at exit
-        else:
-            with open(target, "w", encoding="utf-8", newline="\n") as handle:
-                handle.writelines(chunks)
+                _write(stream, chunk)
+        finally:
+            if stream is not sys.stdout:
+                stream.close()
         return code
     except (DomainError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -350,8 +355,7 @@ def main(argv=None) -> int:
         # second time, and say nothing if the reader closed it early.
         if target is None:
             target = "stdout"
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if isinstance(exc, BrokenPipeError):
                 return EXIT_USAGE
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 
 from . import _kernels_py as kernels
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen, setfields, show
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
 from .numtheory import (
@@ -47,20 +47,21 @@ class EnvelopeParams(Frozen):
         if not isinstance(epsilon, (int, float)) or not -math.inf < epsilon < math.inf:
             raise HypothesisError(f"requires a finite epsilon (got {epsilon!r})")
         if epsilon <= 1:
-            raise HypothesisError(f"requires epsilon > 1 (got epsilon = {epsilon})")
+            raise HypothesisError(
+                f"requires epsilon > 1 (got epsilon = {show(epsilon)})"
+            )
         half_norm = 0.5 * math.hypot(p, q)
         if epsilon > half_norm:
             raise HypothesisError(
                 f"requires epsilon <= ||(p,q)||/2 = {half_norm} "
-                f"(got epsilon = {epsilon})"
+                f"(got epsilon = {show(epsilon)})"
             )
         if p + epsilon > INT_RANGE:
             raise DomainError(
                 f"requires p + epsilon <= 2**31 "
                 f"(got p = {p} and epsilon = {epsilon})"
             )
-        setfield(self, "center", center)
-        setfield(self, "epsilon", epsilon)
+        setfields(self, center, epsilon)
 
     @property
     def radius(self) -> float:
@@ -102,8 +103,7 @@ class EnvelopeRecord(Frozen):
         r, s = pair.r, pair.s
         a, b = coeffs.a, coeffs.b
         row = (r, s, a, b, s - b, r - a, t_contact, gap_alpha, gap_beta, deviation)
-        setfield(self, "_row", row)
-        setfield(self, "bound_ok", bound_ok)
+        setfields(self, row, bound_ok)
         for name, given in (
             ("coeffs", coeffs),
             ("flipped", flipped),
@@ -141,8 +141,7 @@ def _segment(row: tuple) -> Segment:
 
 # The slots' own setters: they bypass the frozen __setattr__.
 _new = object.__new__
-_set_row = EnvelopeRecord._row.__set__
-_set_bound_ok = EnvelopeRecord.bound_ok.__set__
+_set_row, _set_bound_ok = EnvelopeRecord._setters
 
 
 class EnvelopeRecords(Sequence):
@@ -226,12 +225,10 @@ class VerificationReport(Frozen):
         max_deviation: float,
         max_endpoint_gap: float,
     ):
-        setfield(self, "params", params)
-        setfield(self, "records", records)
-        setfield(self, "neighbor_count", neighbor_count)
-        setfield(self, "all_bounds_hold", all_bounds_hold)
-        setfield(self, "max_deviation", max_deviation)
-        setfield(self, "max_endpoint_gap", max_endpoint_gap)
+        setfields(
+            self, params, records, neighbor_count, all_bounds_hold,
+            max_deviation, max_endpoint_gap,
+        )
 
 
 class SweepResult(Frozen):
@@ -250,10 +247,7 @@ class SweepResult(Frozen):
         report: VerificationReport | None,
         skip_reason: str | None,
     ):
-        setfield(self, "center", center)
-        setfield(self, "epsilon", epsilon)
-        setfield(self, "report", report)
-        setfield(self, "skip_reason", skip_reason)
+        setfields(self, center, epsilon, report, skip_reason)
 
 
 def bezout_segment(pair: CoprimePair) -> Segment:

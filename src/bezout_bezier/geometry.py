@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._frozen import Frozen, require_int, setfield
+from ._frozen import Frozen, require_int, setfields, show
 from .errors import DomainError
 
 
@@ -23,10 +23,13 @@ class Point2(Frozen):
     y: float
 
     def __init__(self, x: float, y: float):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(f"coordinates must be finite (got {x}, {y})")
-        setfield(self, "x", x)
-        setfield(self, "y", y)
+        try:
+            finite = math.isfinite(x) and math.isfinite(y)
+        except OverflowError:  # an int beyond every float
+            finite = False
+        if not finite:
+            raise DomainError(f"coordinates must be finite (got {show(x, y)})")
+        setfields(self, x, y)
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
@@ -55,8 +58,7 @@ class Segment(Frozen):
     end: Point2
 
     def __init__(self, start: Point2, end: Point2):
-        setfield(self, "start", start)
-        setfield(self, "end", end)
+        setfields(self, start, end)
 
     def point_at(self, t: float) -> Point2:
         return linear_bezier(self.start, self.end, t)
@@ -83,8 +85,7 @@ class QuadBezier(Frozen):
     def __init__(self, p: int, q: int):
         require_int("curve", "p", p, minimum=1)
         require_int("curve", "q", q, minimum=0)
-        setfield(self, "p", p)
-        setfield(self, "q", q)
+        setfields(self, p, q)
 
     @property
     def is_degenerate(self) -> bool:
@@ -145,7 +146,7 @@ def tangent_segment(curve: QuadBezier, t0: float) -> Segment:
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(
-            f"tangent parameter must lie strictly between 0 and 1 (got {t0})"
+            f"tangent parameter must lie strictly between 0 and 1 (got {show(t0)})"
         )
     return Segment(alpha(curve, t0), beta(curve, t0))
 

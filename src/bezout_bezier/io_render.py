@@ -20,7 +20,7 @@ import math
 from operator import itemgetter
 
 # CHUNK_ROWS, the rows per chunk of these documents, is also read from here
-from ._frozen import CHUNK_ROWS, Frozen, chunked, require_int, setfield
+from ._frozen import CHUNK_ROWS, Frozen, chunked, require_int, setfields, show
 from .envelope import VerificationReport, kernel_rows
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
@@ -69,19 +69,18 @@ class RenderOptions(Frozen):
         require_int("RenderOptions", "width_px", width_px)
         require_int("RenderOptions", "curve_samples", curve_samples)
         if width_px < 16:
-            raise DomainError(f"width_px must be >= 16 (got {width_px})")
+            raise DomainError(f"width_px must be >= 16 (got {show(width_px)})")
         if curve_samples < 2:
-            raise DomainError(f"curve_samples must be >= 2 (got {curve_samples})")
+            raise DomainError(f"curve_samples must be >= 2 (got {show(curve_samples)})")
         if not 0.0 < stroke_width_fraction < 1.0:
             raise DomainError(
                 "stroke_width_fraction must lie in (0, 1) "
-                f"(got {stroke_width_fraction})"
+                f"(got {show(stroke_width_fraction)})"
             )
-        setfield(self, "width_px", width_px)
-        setfield(self, "show_curve", show_curve)
-        setfield(self, "show_controls", show_controls)
-        setfield(self, "curve_samples", curve_samples)
-        setfield(self, "stroke_width_fraction", stroke_width_fraction)
+        setfields(
+            self, width_px, show_curve, show_controls, curve_samples,
+            stroke_width_fraction,
+        )
 
 
 def csv_chunks(report: VerificationReport):

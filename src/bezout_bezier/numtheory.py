@@ -12,7 +12,7 @@ import math
 from itertools import chain, starmap
 
 from . import _kernels_py as kernels
-from ._frozen import INT_RANGE, Frozen, require_int, setfield
+from ._frozen import INT_RANGE, Frozen, require_int, setfields, show
 from .errors import DomainError
 
 
@@ -28,13 +28,12 @@ class CoprimePair(Frozen):
         require_int("coprime pair", "s", s, in_range=True)
         if r < 1 or s < 1:
             raise DomainError(
-                f"coprime pair entries must be positive integers (got ({r}, {s}))"
+                f"coprime pair entries must be positive integers (got ({show(r, s)}))"
             )
         g = math.gcd(r, s)
         if g != 1:
             raise DomainError(f"({r}, {s}) is not coprime: gcd = {g}")
-        setfield(self, "r", r)
-        setfield(self, "s", s)
+        setfields(self, r, s)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.r, self.s)
@@ -44,8 +43,7 @@ class CoprimePair(Frozen):
 
 
 # The slots' own setters: they bypass the frozen __setattr__.
-_set_r = CoprimePair.r.__set__
-_set_s = CoprimePair.s.__set__
+_set_r, _set_s = CoprimePair._setters
 
 
 def _verified_pair(r: int, s: int) -> CoprimePair:
@@ -78,17 +76,15 @@ class BezoutCoeffs(Frozen):
         p, q = pair.r, pair.s
         if a * q - b * p != 1:
             raise DomainError(
-                f"({a}, {b}) does not satisfy the identity for "
-                f"({p}, {q}): {a}*{q} - {b}*{p} != 1"
+                f"({show(a, b)}) does not satisfy the identity for "
+                f"({p}, {q}): {show(a)}*{q} - {show(b)}*{p} != 1"
             )
         if not (0 < a <= p and 0 <= b < q):
             raise DomainError(
-                f"({a}, {b}) lies outside the normalization box "
+                f"({show(a, b)}) lies outside the normalization box "
                 f"0 < a <= {p}, 0 <= b < {q}"
             )
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-        setfield(self, "pair", pair)
+        setfields(self, a, b, pair)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)
@@ -104,14 +100,13 @@ class Center(Frozen):
     def __init__(self, p: int, q: int):
         require_int("center", "p", p, minimum=1, in_range=True)
         require_int("center", "q", q, minimum=0, in_range=True)
-        setfield(self, "p", p)
-        setfield(self, "q", q)
+        setfields(self, p, q)
 
 
 def gcd(x: int, y: int) -> int:
     """Greatest common divisor of two nonnegative integers, not both zero."""
     if x < 0 or y < 0:
-        raise DomainError(f"gcd expects nonnegative integers (got {x}, {y})")
+        raise DomainError(f"gcd expects nonnegative integers (got {show(x, y)})")
     if x == 0 and y == 0:
         raise DomainError("gcd(0, 0) is undefined")
     return math.gcd(x, y)

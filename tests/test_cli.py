@@ -268,15 +268,30 @@ class TestEnvelope:
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("name", [".", "missing/out.csv"])
+    @pytest.mark.parametrize(
+        "name", [".", "missing/out.csv", pytest.param("", id="empty path")]
+    )
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path, name):
-        target = tmp_path / name
+        # the empty name stands for the empty path, not for tmp_path
+        target = tmp_path / name if name else ""
         code, out, err = run(
             capsys, "envelope", "300", "21", "2", "--output", str(target)
         )
         assert code == EXIT_USAGE
         assert out == ""
         assert f"error: cannot write {target}: " in err
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_that_fails_after_opening(self, capsys):
+        code, out, err = run(
+            capsys, "envelope", "300", "21", "2", "--output", "/dev/full"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        )
 
 
 class TestStreamedEnvelope:
@@ -578,6 +593,16 @@ class TestAuditSweep:
             f"error: cannot read {spec}: 'utf-8' codec can't decode byte 0xff "
             "in position 9: invalid start byte\n"
         )
+
+    def test_spec_with_byte_order_mark(self, capsys, tmp_path):
+        # as some editors save UTF-8: the mark is not part of the first line
+        spec, plain = tmp_path / "bom.txt", tmp_path / "plain.txt"
+        spec.write_bytes(b"\xef\xbb\xbf300 21 2\n10 3 2\n")
+        plain.write_bytes(b"300 21 2\n10 3 2\n")
+        code, out, err = run(capsys, "audit-sweep", str(spec))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == run(capsys, "audit-sweep", str(plain))[1]
+        assert out.splitlines()[1].startswith("300,21,2,1,")
 
     def test_determinism(self, capsys, tmp_path):
         spec = tmp_path / "sweep.txt"

@@ -363,6 +363,12 @@ class TestEnvelopeRecords:
         with pytest.raises(TypeError):
             records[0] = listed[0]
 
+    def test_unequal_to_a_non_sequence_and_printed_by_length(self):
+        records = build_envelope(EnvelopeParams(Center(50, 29), 5.0)).records
+        assert (records == 5) is False
+        assert (records != 5) is True
+        assert repr(records) == f"<{len(records)} envelope records>"
+
     def test_records_equal_validated_construction(self):
         report = build_envelope(EnvelopeParams(Center(40, 17), 4.0))
         for rec in report.records:

@@ -25,6 +25,7 @@ from bezout_bezier import (
     Segment,
     SweepResult,
     VerificationReport,
+    gcd,
 )
 
 
@@ -222,6 +223,10 @@ def test_pickle_and_copy_round_trips(case):
 
 _HALF_NORM = 0.5 * math.hypot(10, 3)
 
+# An int too long for str(): a message names it by its sign and size.
+_HUGE = 10**5000
+_HUGE_TEXT = "<16610-bit integer>"
+
 
 @pytest.mark.parametrize(
     "build, exc_type, message",
@@ -307,6 +312,63 @@ _HALF_NORM = 0.5 * math.hypot(10, 3)
          "Point2.__init__() missing 1 required positional argument: 'y'"),
         (lambda: Segment(Point2(0.0, 0.0), Point2(1.0, 1.0), None), TypeError,
          "Segment.__init__() takes 3 positional arguments but 4 were given"),
+        pytest.param(
+            lambda: Center(_HUGE, 1), DomainError,
+            f"p = {_HUGE_TEXT} exceeds the supported range 2**31",
+            id="huge int Center p",
+        ),
+        pytest.param(
+            lambda: CoprimePair(_HUGE, 1), DomainError,
+            f"r = {_HUGE_TEXT} exceeds the supported range 2**31",
+            id="huge int CoprimePair r",
+        ),
+        pytest.param(
+            lambda: CoprimePair(1, -_HUGE), DomainError,
+            f"coprime pair entries must be positive integers (got (1, -{_HUGE_TEXT}))",
+            id="huge negative int CoprimePair s",
+        ),
+        pytest.param(
+            lambda: QuadBezier(-_HUGE, 1), DomainError,
+            f"curve needs p >= 1 (got p = -{_HUGE_TEXT})",
+            id="huge negative int QuadBezier p",
+        ),
+        pytest.param(
+            lambda: BezoutCoeffs(_HUGE, 1, CoprimePair(3, 5)), DomainError,
+            f"({_HUGE_TEXT}, 1) does not satisfy the identity for (3, 5): "
+            f"{_HUGE_TEXT}*5 - 1*3 != 1",
+            id="huge int BezoutCoeffs a",
+        ),
+        pytest.param(
+            lambda: RenderOptions(width_px=-_HUGE), DomainError,
+            f"width_px must be >= 16 (got -{_HUGE_TEXT})",
+            id="huge negative int RenderOptions width_px",
+        ),
+        pytest.param(
+            lambda: gcd(-_HUGE, 1), DomainError,
+            f"gcd expects nonnegative integers (got -{_HUGE_TEXT}, 1)",
+            id="huge negative int gcd",
+        ),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), _HUGE), HypothesisError,
+            f"requires epsilon <= ||(p,q)||/2 = {_HALF_NORM} "
+            f"(got epsilon = {_HUGE_TEXT})",
+            id="huge int epsilon beyond str",
+        ),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), -_HUGE), HypothesisError,
+            f"requires epsilon > 1 (got epsilon = -{_HUGE_TEXT})",
+            id="huge negative int epsilon",
+        ),
+        pytest.param(
+            lambda: Point2(_HUGE, 1), DomainError,
+            f"coordinates must be finite (got {_HUGE_TEXT}, 1)",
+            id="huge int Point2 x",
+        ),
+        pytest.param(
+            lambda: Point2(0.0, 10**400), DomainError,
+            f"coordinates must be finite (got 0.0, {10**400})",
+            id="int beyond the floats Point2 y",
+        ),
     ],
 )
 def test_constructor_errors(build, exc_type, message):
