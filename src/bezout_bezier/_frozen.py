@@ -28,16 +28,16 @@ def setfields(obj, *values) -> None:
         setter(obj, value)
 
 
-def show(*values) -> str:
-    """`values` as an error message prints them, joined by ", "."""
-    return ", ".join(map(_show, values))
+def show(*values, text=str) -> str:
+    """`values` as an error message prints them, joined by ", ": `text`
+    (str, or repr) of each, or for an int too long for text its sign and
+    size, so that a message about it does not fail."""
+    return ", ".join([_show(value, text) for value in values])
 
 
-def _show(value) -> str:
-    """str(value), or for an int too long for str() its sign and size, so
-    that a message about it does not fail."""
+def _show(value, text) -> str:
     try:
-        return str(value)
+        return text(value)
     except ValueError:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
@@ -69,8 +69,9 @@ class Frozen:
 
     A subclass lists its fields (two or more) in ``__slots__``, and its
     ``__init__`` takes them in that order and stores them with one
-    ``setfields`` call; one that derives its fields from other slots
-    names them, in the order its ``__init__`` takes them, in ``_fields``.
+    ``setfields`` call; one whose slots are not its fields (a slot that
+    its fields are read from, or one derived from them) names them, in
+    the order its ``__init__`` takes them, in ``_fields``.
     That order is the constructor's contract: pickling and copying
     rebuild an instance as ``cls(*fields)``.  Instances compare
     equal only to instances of the same class with equal fields, hash

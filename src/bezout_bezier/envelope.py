@@ -113,8 +113,8 @@ class EnvelopeRecord(Frozen):
             implied = getattr(self, name)
             if given != implied:
                 raise DomainError(
-                    f"record for ({r}, {s}): {name} = {given!r} contradicts "
-                    f"the pair, which gives {implied!r}"
+                    f"record for ({r}, {s}): {name} = {show(given, text=repr)} "
+                    f"contradicts the pair, which gives {implied!r}"
                 )
 
     # The fields, read from the row; the objects are built on each read.
@@ -159,7 +159,7 @@ class EnvelopeRecords(Sequence):
 
     def _record(self, row: tuple) -> EnvelopeRecord:
         # The row is verified: the constructor's checks would only repeat
-        # build_envelope's bulk pass.
+        # the report's bulk pass.
         rec = _new(EnvelopeRecord)
         _set_row(rec, row)
         _set_bound_ok(rec, row[9] < self._epsilon)
@@ -199,36 +199,79 @@ def kernel_rows(records: Sequence[EnvelopeRecord]) -> Sequence[tuple]:
 
 
 class VerificationReport(Frozen):
-    """Aggregate outcome of one (center, epsilon) run.
+    """One (center, epsilon) run: its params and its records.
 
-    build_envelope fills ``records`` with an EnvelopeRecords; any other
-    sequence of EnvelopeRecord works for the writers too.
+    The records are any sequence of EnvelopeRecord; build_envelope
+    passes an EnvelopeRecords.  The constructor verifies their kernel
+    rows in one pass that also derives the summary: neighbor_count,
+    all_bounds_hold (every deviation < epsilon), max_deviation,
+    max_endpoint_gap and extent, the largest (x, y) of any segment
+    endpoint ((0, 0) for no records).  A row that fails raises
+    DomainError naming its pair.
     """
 
-    __slots__ = (
-        "params", "records", "neighbor_count", "all_bounds_hold",
-        "max_deviation", "max_endpoint_gap",
-    )
+    __slots__ = ("params", "records", "_summary")
+    _fields = ("params", "records")
     params: EnvelopeParams
     records: Sequence[EnvelopeRecord]
-    neighbor_count: int
-    all_bounds_hold: bool
-    max_deviation: float
-    max_endpoint_gap: float
 
-    def __init__(
-        self,
-        params: EnvelopeParams,
-        records: Sequence[EnvelopeRecord],
-        neighbor_count: int,
-        all_bounds_hold: bool,
-        max_deviation: float,
-        max_endpoint_gap: float,
-    ):
-        setfields(
-            self, params, records, neighbor_count, all_bounds_hold,
-            max_deviation, max_endpoint_gap,
-        )
+    def __init__(self, params: EnvelopeParams, records: Sequence[EnvelopeRecord]):
+        setfields(self, params, records, _fold(kernel_rows(records), params.epsilon))
+
+    # The summary, read from the fold's tuple.
+    neighbor_count = property(lambda self: self._summary[0])
+    all_bounds_hold = property(lambda self: self._summary[1])
+    max_deviation = property(lambda self: self._summary[2])
+    max_endpoint_gap = property(lambda self: self._summary[3])
+    extent = property(lambda self: self._summary[4:])
+
+
+def _fold(rows: Sequence[tuple], eps: float) -> tuple:
+    """Verify every kernel row and fold the rows into (count, all_ok,
+    max_dev, max_gap, x_max, y_max).
+
+    A row must have a*s - b*r == 1, the box 0 < a <= r, 0 <= b < s, the
+    flip (a_flip, b_flip) == (s - b, r - a) and r, s <= 2**31.  Those
+    imply what the record types check one at a time: gcd(r, s) == 1,
+    r, s >= 1, the flipped pair's identity and box, and finite (integer)
+    segment endpoints.
+    """
+    max_dev = 0.0
+    max_gap = 0.0
+    x_max = 0
+    y_max = 0
+    all_ok = True
+    for r, s, a, b, af, bf, _, gap_a, gap_b, dev in rows:
+        if (
+            a * s - b * r != 1
+            or not (0 < a <= r and 0 <= b < s)
+            or af != s - b
+            or bf != r - a
+            or r > INT_RANGE
+            or s > INT_RANGE
+        ):
+            raise DomainError(
+                f"kernel row for ({r}, {s}) fails verification: B = ({a}, {b}), "
+                f"flip = ({af}, {bf}); needs a*s - b*r == 1, 0 < a <= r, "
+                f"0 <= b < s, flip == (s - b, r - a) and r, s <= 2**31"
+            )
+        if not dev < eps:
+            all_ok = False
+        if dev > max_dev:
+            max_dev = dev
+        if gap_a > max_gap:
+            max_gap = gap_a
+        if gap_b > max_gap:
+            max_gap = gap_b
+        if a > x_max:
+            x_max = a
+        if af > x_max:
+            x_max = af
+        if b > y_max:
+            y_max = b
+        if bf > y_max:
+            y_max = bf
+    return len(rows), all_ok, max_dev, max_gap, x_max, y_max
 
 
 class SweepResult(Frozen):
@@ -290,50 +333,12 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
     """Measure every coprime neighbor within radius epsilon - 1.
 
     Records are sorted lexicographically by (r, s); an empty
-    enumeration yields a vacuously passing report.  One pass over the
-    kernel rows verifies, for every row, a*s - b*r == 1, the box
-    0 < a <= r, 0 <= b < s, the flip (a_flip, b_flip) == (s - b, r - a)
-    and r, s <= 2**31.  Those imply what the record types check one at
-    a time: gcd(r, s) == 1, r, s >= 1, the flipped pair's identity and
-    box, and finite (integer) segment endpoints.  A row that fails
-    raises DomainError naming its pair.
+    enumeration yields a vacuously passing report.  The report verifies
+    every kernel row as it is built, and raises DomainError naming the
+    pair of a row that fails.
     """
-    p, q = params.center.p, params.center.q
-    eps = params.epsilon
-    rows = kernels.envelope_scan(p, q, params.radius)
-    max_dev = 0.0
-    max_gap = 0.0
-    all_ok = True
-    for r, s, a, b, af, bf, _, gap_a, gap_b, dev in rows:
-        if (
-            a * s - b * r != 1
-            or not (0 < a <= r and 0 <= b < s)
-            or af != s - b
-            or bf != r - a
-            or r > INT_RANGE
-            or s > INT_RANGE
-        ):
-            raise DomainError(
-                f"kernel row for ({r}, {s}) fails verification: B = ({a}, {b}), "
-                f"flip = ({af}, {bf}); needs a*s - b*r == 1, 0 < a <= r, "
-                f"0 <= b < s, flip == (s - b, r - a) and r, s <= 2**31"
-            )
-        if not dev < eps:
-            all_ok = False
-        if dev > max_dev:
-            max_dev = dev
-        if gap_a > max_gap:
-            max_gap = gap_a
-        if gap_b > max_gap:
-            max_gap = gap_b
-    return VerificationReport(
-        params=params,
-        records=EnvelopeRecords(rows, eps),
-        neighbor_count=len(rows),
-        all_bounds_hold=all_ok,
-        max_deviation=max_dev,
-        max_endpoint_gap=max_gap,
-    )
+    rows = kernels.envelope_scan(params.center.p, params.center.q, params.radius)
+    return VerificationReport(params, EnvelopeRecords(rows, params.epsilon))
 
 
 def sweep_one(center: Center, epsilon: float) -> SweepResult:

@@ -9,15 +9,15 @@ markers, the curve overlay and the closing tag).  to_csv and to_svg
 join the chunks; the CLI writes each chunk as it is made, so no more
 than one chunk of a document is held at a time.  The SVG header holds
 the viewBox, and the stroke width and the number format of every line
-depend on the whole document, so svg_chunks takes the column maxima of
-all rows in a first pass before it yields anything; nothing about the
-format is decided per chunk.
+depend on the whole document: svg_chunks takes them from the report's
+extent, which the report derived from every row when it was built, so
+it reads no row before its header and decides nothing about the format
+per chunk.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 # CHUNK_ROWS, the rows per chunk of these documents, is also read from here
 from ._frozen import CHUNK_ROWS, Frozen, chunked, require_int, setfields, show
@@ -109,17 +109,14 @@ def to_csv(report: VerificationReport) -> str:
 def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()):
     """Yield the text of to_svg: header, lines in chunks, then trailer."""
     p, q = report.params.center.p, report.params.center.q
-    rows = kernel_rows(report.records)
     curve = QuadBezier(p, q)
     # The box starts at the origin: it is a control point, and every
     # other coordinate is >= 0 (p > q >= 0, and the normalization box
-    # keeps all coefficients >= 0).  Only the maxima need a pass, one
-    # per coefficient column, and it runs before the first chunk.
-    a_max, b_max, af_max, bf_max = (
-        max(map(itemgetter(i), rows), default=0) for i in (2, 3, 4, 5)
-    )
-    x_hi = float(max(p, q, a_max, af_max))
-    y_hi = float(max(p, q, b_max, bf_max))
+    # keeps all coefficients >= 0).  Its far corner comes from the
+    # report's extent, so no row is read before the first chunk.
+    x_max, y_max = report.extent
+    x_hi = float(max(p, q, x_max))
+    y_hi = float(max(p, q, y_max))
     pad_x = PADDING_FRACTION * x_hi or 1.0
     pad_y = PADDING_FRACTION * y_hi or 1.0
     width = x_hi + pad_x + pad_x
@@ -142,13 +139,13 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
     # below 10**9 "%.9g" prints an integer with the same digits as "%d";
     # at or above it "%.9g" switches to an exponent, so a document with
     # such a coordinate keeps "%.9g" for all of its lines.
-    num = "%d" if max(a_max, b_max, af_max, bf_max) < 10**9 else "%.9g"
+    num = "%d" if max(x_max, y_max) < 10**9 else "%.9g"
     line = (
         f'<line x1="{num}" y1="-{num}" x2="{num}" y2="-{num}" '
         f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>\n'
     )
     # a collapsed segment, only (1, 1), still draws: round caps make a dot
-    for chunk in chunked(rows):
+    for chunk in chunked(kernel_rows(report.records)):
         yield "".join([
             line % (a, b, af, bf, ' stroke-linecap="round"' if r == s else "")
             for r, s, a, b, af, bf, _, _, _, _ in chunk

@@ -410,36 +410,10 @@ class TestVerify:
         assert "p = 2147483648" in err and "epsilon = 3.0" in err
         assert "2147483649" not in err
 
-    def test_bound_failure_exits_3(self, capsys, monkeypatch):
-        # the bound has never failed on real inputs; force a failing
-        # report to pin the exit-code contract; the commands look
-        # build_envelope up in the envelope module when they run
-        from bezout_bezier.envelope import VerificationReport
-        from bezout_bezier.envelope import build_envelope as real_build
-
-        def failing_build(params):
-            real = real_build(params)
-            return VerificationReport(
-                params=real.params,
-                records=real.records,
-                neighbor_count=real.neighbor_count,
-                all_bounds_hold=False,
-                max_deviation=real.max_deviation,
-                max_endpoint_gap=real.max_endpoint_gap,
-            )
-
-        monkeypatch.setattr(envelope, "build_envelope", failing_build)
-        code, out, _ = run(capsys, "verify", "300", "21", "2")
-        assert code == EXIT_BOUND_FAILED
-        assert out.rstrip().endswith("FAIL")
-        assert out == self.REFERENCE_OUT.replace("PASS", "FAIL")
-        code, _, _ = run(capsys, "envelope", "300", "21", "2")
-        assert code == EXIT_BOUND_FAILED
-
 
 class TestRealBoundFailure:
     """A kernel row whose deviation reaches epsilon, through the real
-    verification path: build_envelope's check, the writers and exit 3."""
+    verification path: the report's check, the writers and exit 3."""
 
     EPS = 2.0
 
@@ -457,6 +431,19 @@ class TestRealBoundFailure:
         assert report.all_bounds_hold is False
         assert report.max_deviation == self.EPS
         assert report.records[-1].bound_ok is False
+
+    def test_bound_failure_exits_3(self, capsys, violated):
+        # the exit-code contract: the summary reports the real row
+        code, out, _ = run(capsys, "verify", "300", "21", "2")
+        assert code == EXIT_BOUND_FAILED
+        assert out == (
+            "neighbor_count: 1\n"
+            "max_deviation: 2\n"
+            "max_endpoint_gap: 0.809605914333\n"
+            "FAIL\n"
+        )
+        code, _, _ = run(capsys, "envelope", "300", "21", "2")
+        assert code == EXIT_BOUND_FAILED
 
     def test_csv_row(self, capsys, violated):
         code, out, _ = run(capsys, "envelope", "300", "21", "2")

@@ -429,14 +429,7 @@ class TestEnvelopeRecords:
 
     def test_report_hash(self):
         report = build_envelope(EnvelopeParams(Center(50, 29), 5.0))
-        same = VerificationReport(
-            report.params,
-            tuple(report.records),
-            report.neighbor_count,
-            report.all_bounds_hold,
-            report.max_deviation,
-            report.max_endpoint_gap,
-        )
+        same = VerificationReport(report.params, tuple(report.records))
         assert report == same
         assert hash(report) == hash(same)
         assert hash(report.records) == hash(tuple(report.records))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import xml.etree.ElementTree as ET
+from collections.abc import Sequence
 
 import pytest
 
@@ -21,6 +22,7 @@ from bezout_bezier import (
     to_csv,
     to_svg,
 )
+from bezout_bezier.envelope import EnvelopeRecords, kernel_rows
 from bezout_bezier.io_render import CHUNK_ROWS, CSV_HEADER, csv_chunks, svg_chunks
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -161,14 +163,7 @@ class TestToSvg:
             bound_ok=True,
             degenerate=False,
         )
-        report = VerificationReport(
-            params=EnvelopeParams(Center(10, 3), 2.0),
-            records=[record],
-            neighbor_count=1,
-            all_bounds_hold=True,
-            max_deviation=0.1,
-            max_endpoint_gap=0.1,
-        )
+        report = VerificationReport(EnvelopeParams(Center(10, 3), 2.0), [record])
         root = ET.fromstring(to_svg(report))
         x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
         assert (x0, x0 + w) == pytest.approx((-0.85, 17.85))
@@ -187,14 +182,7 @@ class TestToSvg:
 
     def test_degenerate_record_renders_as_dot(self):
         params = EnvelopeParams(Center(10, 3), 2.0)
-        report = VerificationReport(
-            params=params,
-            records=[degenerate_record()],
-            neighbor_count=1,
-            all_bounds_hold=True,
-            max_deviation=0.1,
-            max_endpoint_gap=0.1,
-        )
+        report = VerificationReport(params, [degenerate_record()])
         root = ET.fromstring(to_svg(report))
         (line,) = root.findall(f"{SVG_NS}line")
         assert line.attrib["x1"] == line.attrib["x2"]
@@ -286,14 +274,7 @@ class TestWriterBytes:
     def test_built_and_hand_built_match_digests(self, case):
         p, q, eps = case
         report = build_envelope(EnvelopeParams(Center(p, q), eps))
-        hand_built = VerificationReport(
-            params=report.params,
-            records=list(report.records),
-            neighbor_count=report.neighbor_count,
-            all_bounds_hold=report.all_bounds_hold,
-            max_deviation=report.max_deviation,
-            max_endpoint_gap=report.max_endpoint_gap,
-        )
+        hand_built = VerificationReport(report.params, list(report.records))
         csv_text = to_csv(report)
         svg_text = to_svg(report, self.OPTS)
         assert to_csv(hand_built) == csv_text
@@ -303,6 +284,26 @@ class TestWriterBytes:
             for text in (csv_text, svg_text)
         )
         assert digests == self.CASES[case]
+
+
+class CountingRows(Sequence):
+    """A row sequence that counts the reads of its rows: iterations and
+    indexing, slices included (chunked slices)."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.rows[index]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.rows)
 
 
 class TestChunks:
@@ -344,18 +345,26 @@ class TestChunks:
         # chunk: reversing the records puts other rows first and must
         # not change the header or any line.
         reversed_report = VerificationReport(
-            params=report.params,
-            records=list(reversed(report.records)),
-            neighbor_count=report.neighbor_count,
-            all_bounds_hold=report.all_bounds_hold,
-            max_deviation=report.max_deviation,
-            max_endpoint_gap=report.max_endpoint_gap,
+            report.params, list(reversed(report.records))
         )
         header, *chunks = svg_chunks(report, self.OPTS)
         header_rev, *chunks_rev = svg_chunks(reversed_report, self.OPTS)
         assert header_rev == header
         lines = "".join(chunks).splitlines()
         assert sorted("".join(chunks_rev).splitlines()) == sorted(lines)
+
+    def test_svg_header_reads_no_row(self, report):
+        # the report reads its rows once, as it is built; the header
+        # comes from that pass, so no row is read before the first chunk
+        rows = CountingRows(kernel_rows(report.records))
+        eps = report.params.epsilon
+        counted = VerificationReport(report.params, EnvelopeRecords(rows, eps))
+        assert rows.reads == 1
+        chunks = svg_chunks(counted, self.OPTS)
+        header = next(chunks)
+        assert rows.reads == 1
+        assert header + "".join(chunks) == to_svg(report, self.OPTS)
+        assert rows.reads > 1
 
     def test_empty_report_is_header_and_trailer(self):
         report = empty_report()

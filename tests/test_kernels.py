@@ -3,10 +3,23 @@
 import math
 import random
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 import pytest
 
-from bezout_bezier import _kernels_py
+from bezout_bezier import (
+    Center,
+    CoprimePair,
+    DomainError,
+    EnvelopeParams,
+    HypothesisError,
+    VerificationReport,
+    _kernels_py,
+    build_envelope,
+    contact_parameter,
+    endpoint_gaps,
+)
+from bezout_bezier.envelope import kernel_rows
 from oracles import envelope_scan_by_pairs, neighbors_by_bbox_scan
 
 CASES = [
@@ -47,6 +60,15 @@ PARITY_CASES = CASES + [
     (2**31 - 2, 2**31 - 7, 2.0),
     (100000, 30000, 199.0),
 ]
+
+
+def _params(p, q, radius):
+    """The params whose enumeration radius is `radius`, or None where the
+    center or epsilon = radius + 1 breaks a hypothesis."""
+    try:
+        return EnvelopeParams(Center(p, q), radius + 1.0)
+    except (DomainError, HypothesisError):
+        return None
 
 
 def random_small_scans(n, seed=41):
@@ -129,21 +151,8 @@ def test_negative_radius_yields_empty():
 def test_scan_tuples_match_single_call_ops():
     # every scan row must equal what the one-pair code paths produce;
     # repr tells apart floats that == does not (0.0 and -0.0)
-    from bezout_bezier import (
-        Center,
-        CoprimePair,
-        DomainError,
-        EnvelopeParams,
-        HypothesisError,
-        contact_parameter,
-        endpoint_gaps,
-    )
-
     for p, q, radius in PARITY_CASES + [(50, 29, 4.0)]:
-        try:
-            params = EnvelopeParams(Center(p, q), radius + 1.0)
-        except (DomainError, HypothesisError):
-            params = None  # no gaps: endpoint_gaps needs valid params
+        params = _params(p, q, radius)  # None: no gaps, endpoint_gaps needs params
         for row in _kernels_py.envelope_scan(p, q, radius):
             r, s, a, b, af, bf, t, gap_a, gap_b, _dev = row
             single = _kernels_py.pair_row(p, q, r, s)
@@ -153,3 +162,30 @@ def test_scan_tuples_match_single_call_ops():
             assert contact_parameter(pair) == t
             if params is not None:
                 assert endpoint_gaps(pair, params) == (gap_a, gap_b)
+
+
+_summary = attrgetter(
+    "neighbor_count", "all_bounds_hold", "max_deviation", "max_endpoint_gap", "extent"
+)
+
+
+@pytest.mark.parametrize(
+    "p, q, radius", [case for case in PARITY_CASES if _params(*case)]
+)
+def test_report_summary_is_a_fold_over_the_records(p, q, radius):
+    report = build_envelope(_params(p, q, radius))
+    records = report.records
+    rows = kernel_rows(records)
+    assert _summary(report) == (
+        len(records),
+        all(rec.deviation < radius + 1.0 and rec.bound_ok for rec in records),
+        max((rec.deviation for rec in records), default=0.0),
+        max((max(rec.gap_alpha, rec.gap_beta) for rec in records), default=0.0),
+        tuple(
+            max(max(map(itemgetter(i), rows), default=0) for i in columns)
+            for columns in ((2, 4), (3, 5))
+        ),
+    )
+    # the order of the records does not matter to the summary
+    reversed_report = VerificationReport(report.params, list(reversed(records)))
+    assert _summary(reversed_report) == _summary(report)

@@ -8,6 +8,7 @@ the constructors' exceptions and messages.
 import copy
 import math
 import pickle
+from operator import attrgetter
 
 import pytest
 
@@ -29,7 +30,7 @@ from bezout_bezier import (
 )
 
 
-def _record(deviation=0.75, bound_ok=True):
+def _record(deviation=0.75, bound_ok=True, degenerate=False):
     pair = CoprimePair(3, 5)
     return EnvelopeRecord(
         pair,
@@ -41,7 +42,7 @@ def _record(deviation=0.75, bound_ok=True):
         0.125,
         deviation,
         bound_ok,
-        False,
+        degenerate,
     )
 
 
@@ -110,17 +111,10 @@ CASES = {
         _RECORD_REPR,
     ),
     "VerificationReport": (
-        (
-            "params", "records", "neighbor_count", "all_bounds_hold",
-            "max_deviation", "max_endpoint_gap",
-        ),
-        lambda: VerificationReport(
-            EnvelopeParams(Center(10, 3), 2.0), (_record(),), 1, True, 0.75, 0.25
-        ),
-        VerificationReport(EnvelopeParams(Center(10, 3), 2.0), (), 0, True, 0.0, 0.0),
-        f"VerificationReport(params={_PARAMS_REPR}, records=({_RECORD_REPR},), "
-        "neighbor_count=1, all_bounds_hold=True, max_deviation=0.75, "
-        "max_endpoint_gap=0.25)",
+        ("params", "records"),
+        lambda: VerificationReport(EnvelopeParams(Center(10, 3), 2.0), (_record(),)),
+        VerificationReport(EnvelopeParams(Center(10, 3), 2.0), ()),
+        f"VerificationReport(params={_PARAMS_REPR}, records=({_RECORD_REPR},))",
     ),
     "SweepResult": (
         ("center", "epsilon", "report", "skip_reason"),
@@ -183,6 +177,23 @@ def test_positional_and_keyword_construction(case):
     assert cls.__match_args__ == fields
     assert cls(*_values(a, fields)) == a
     assert cls(**dict(zip(fields, _values(a, fields)))) == a
+
+
+_summary = attrgetter(
+    "neighbor_count", "all_bounds_hold", "max_deviation", "max_endpoint_gap", "extent"
+)
+
+
+def test_report_summary_comes_from_its_records():
+    # the summary is the fold over the records, not constructor
+    # arguments; a copy or an unpickled report folds its records again
+    _, make, empty, _ = CASES["VerificationReport"]
+    report = make()
+    for a in (report, pickle.loads(pickle.dumps(report)), copy.copy(report)):
+        assert _summary(a) == (1, True, 0.75, 0.25, (2, 3))
+    assert _summary(empty) == (0, True, 0.0, 0.0, (0, 0))
+    failing = VerificationReport(report.params, (_record(), _record(2.5, False)))
+    assert _summary(failing) == (2, False, 2.5, 0.25, (2, 3))
 
 
 def test_render_options_defaults():
@@ -363,6 +374,12 @@ _HUGE_TEXT = "<16610-bit integer>"
             lambda: Point2(_HUGE, 1), DomainError,
             f"coordinates must be finite (got {_HUGE_TEXT}, 1)",
             id="huge int Point2 x",
+        ),
+        pytest.param(
+            lambda: _record(degenerate=_HUGE), DomainError,
+            f"record for (3, 5): degenerate = {_HUGE_TEXT} contradicts the pair, "
+            "which gives False",
+            id="huge int EnvelopeRecord degenerate",
         ),
         pytest.param(
             lambda: Point2(0.0, 10**400), DomainError,
