@@ -211,8 +211,6 @@ def cmd_neighbors(args) -> tuple[int, Iterable[str]]:
 
 def _report_text(report):
     """Yield the text format: a summary around one line per record."""
-    from .envelope import kernel_rows
-
     params = report.params
     eps = params.epsilon
     yield (
@@ -220,7 +218,7 @@ def _report_text(report):
         f"epsilon: {format_real(eps)}\n"
         f"neighbor_count: {report.neighbor_count}\n"
     )
-    for chunk in chunked(kernel_rows(report.records)):
+    for chunk in chunked(report.rows):
         yield "".join([
             f"({r},{s}) B=({a},{b}) flip=({af},{bf}) t={format_real(t)} "
             f"deviation={format_real(dev)} "

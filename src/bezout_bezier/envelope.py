@@ -11,7 +11,7 @@ aggregates them into a report.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _kernels_py as kernels
 from ._frozen import Frozen, setfields, show
@@ -144,18 +144,18 @@ _new = object.__new__
 _set_row, _set_bound_ok = EnvelopeRecord._setters
 
 
-class EnvelopeRecords(Sequence):
+class EnvelopeRecords(Frozen, Sequence):
     """Immutable sequence of EnvelopeRecord over verified kernel rows.
 
     A record, one object over its row, is built only when it is
-    accessed.  Compares equal to any sequence of equal records.
+    accessed.  Compares equal to any sequence of equal records.  Its
+    fields are the rows and epsilon: it pickles and copies as those two.
     """
 
     __slots__ = ("_rows", "_epsilon")
 
     def __init__(self, rows: Sequence[tuple], epsilon: float):
-        self._rows = rows
-        self._epsilon = epsilon
+        setfields(self, rows, epsilon)
 
     def _record(self, row: tuple) -> EnvelopeRecord:
         # The row is verified: the constructor's checks would only repeat
@@ -191,32 +191,36 @@ class EnvelopeRecords(Sequence):
         return f"<{len(self)} envelope records>"
 
 
-def kernel_rows(records: Sequence[EnvelopeRecord]) -> Sequence[tuple]:
-    """The records as kernel row tuples, the shape EnvelopeRecords keeps."""
-    if isinstance(records, EnvelopeRecords):
-        return records._rows
-    return [rec._row for rec in records]
-
-
 class VerificationReport(Frozen):
     """One (center, epsilon) run: its params and its records.
 
-    The records are any sequence of EnvelopeRecord; build_envelope
-    passes an EnvelopeRecords.  The constructor verifies their kernel
-    rows in one pass that also derives the summary: neighbor_count,
-    all_bounds_hold (every deviation < epsilon), max_deviation,
-    max_endpoint_gap and extent, the largest (x, y) of any segment
-    endpoint ((0, 0) for no records).  A row that fails raises
-    DomainError naming its pair.
+    The records are stored as one EnvelopeRecords at params.epsilon:
+    the one build_envelope passes is kept as it is, and any other
+    iterable of EnvelopeRecord is read once into a new row list.  An
+    item that is not an EnvelopeRecord, or whose bound_ok is not
+    deviation < epsilon, raises DomainError naming its index.  The
+    constructor then verifies the kernel rows in one pass that also
+    derives the summary: neighbor_count, all_bounds_hold (every
+    deviation < epsilon), max_deviation, max_endpoint_gap and extent,
+    the largest (x, y) of any segment endpoint ((0, 0) for no records).
+    A row that fails raises DomainError naming its pair.
     """
 
     __slots__ = ("params", "records", "_summary")
     _fields = ("params", "records")
     params: EnvelopeParams
-    records: Sequence[EnvelopeRecord]
+    records: EnvelopeRecords
 
-    def __init__(self, params: EnvelopeParams, records: Sequence[EnvelopeRecord]):
-        setfields(self, params, records, _fold(kernel_rows(records), params.epsilon))
+    def __init__(self, params: EnvelopeParams, records: Iterable[EnvelopeRecord]):
+        eps = params.epsilon
+        if not (isinstance(records, EnvelopeRecords) and records._epsilon == eps):
+            rows = [_record_row(i, rec, eps) for i, rec in enumerate(records)]
+            records = EnvelopeRecords(rows, eps)
+        setfields(self, params, records, _fold(records._rows, eps))
+
+    # The kernel rows of the records: the one store that the fold and every
+    # writer read.
+    rows = property(lambda self: self.records._rows)
 
     # The summary, read from the fold's tuple.
     neighbor_count = property(lambda self: self._summary[0])
@@ -224,6 +228,16 @@ class VerificationReport(Frozen):
     max_deviation = property(lambda self: self._summary[2])
     max_endpoint_gap = property(lambda self: self._summary[3])
     extent = property(lambda self: self._summary[4:])
+
+
+def _record_row(i: int, rec: EnvelopeRecord, eps: float) -> tuple:
+    """The kernel row of records[i], an EnvelopeRecord whose bound_ok is
+    its deviation < eps; anything else raises DomainError."""
+    if isinstance(rec, EnvelopeRecord) and rec.bound_ok == (rec.deviation < eps):
+        return rec._row
+    raise DomainError(
+        f"records[{i}] must be an EnvelopeRecord with bound_ok = (deviation < epsilon)"
+    )
 
 
 def _fold(rows: Sequence[tuple], eps: float) -> tuple:

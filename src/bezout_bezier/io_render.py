@@ -21,7 +21,7 @@ import math
 
 # CHUNK_ROWS, the rows per chunk of these documents, is also read from here
 from ._frozen import CHUNK_ROWS, Frozen, chunked, require_int, setfields, show
-from .envelope import VerificationReport, kernel_rows
+from .envelope import VerificationReport
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
 
@@ -72,22 +72,23 @@ class RenderOptions(Frozen):
             raise DomainError(f"width_px must be >= 16 (got {show(width_px)})")
         if curve_samples < 2:
             raise DomainError(f"curve_samples must be >= 2 (got {show(curve_samples)})")
-        if not 0.0 < stroke_width_fraction < 1.0:
+        frac = stroke_width_fraction
+        if not isinstance(frac, (int, float)) or isinstance(frac, bool):
             raise DomainError(
-                "stroke_width_fraction must lie in (0, 1) "
-                f"(got {show(stroke_width_fraction)})"
+                f"stroke_width_fraction must be a number (got {show(frac, text=repr)})"
             )
-        setfields(
-            self, width_px, show_curve, show_controls, curve_samples,
-            stroke_width_fraction,
-        )
+        if not 0.0 < frac < 1.0:
+            raise DomainError(
+                f"stroke_width_fraction must lie in (0, 1) (got {show(frac)})"
+            )
+        setfields(self, width_px, show_curve, show_controls, curve_samples, frac)
 
 
 def csv_chunks(report: VerificationReport):
     """Yield the text of to_csv: the header, then the rows in chunks."""
     eps = report.params.epsilon
     yield CSV_HEADER + "\n"
-    for chunk in chunked(kernel_rows(report.records)):
+    for chunk in chunked(report.rows):
         yield "".join([
             _CSV_ROW
             % (r, s, a, b, af, bf, t, a, b, af, bf, gap_a, gap_b, dev,
@@ -145,7 +146,7 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
         f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>\n'
     )
     # a collapsed segment, only (1, 1), still draws: round caps make a dot
-    for chunk in chunked(kernel_rows(report.records)):
+    for chunk in chunked(report.rows):
         yield "".join([
             line % (a, b, af, bf, ' stroke-linecap="round"' if r == s else "")
             for r, s, a, b, af, bf, _, _, _, _ in chunk

@@ -28,10 +28,12 @@ from bezout_bezier import (
     segment_distance,
     sweep_one,
     tangent_segment,
+    to_csv,
+    to_svg,
 )
 
 from bezout_bezier import envelope
-from bezout_bezier.envelope import kernel_rows
+from bezout_bezier.envelope import EnvelopeRecords
 from oracles import bezout_solutions_by_search
 
 
@@ -420,8 +422,8 @@ class TestEnvelopeRecords:
             assert copied == rec and repr(copied) == repr(rec)
 
     def test_one_object_per_record(self):
-        records = build_envelope(EnvelopeParams(Center(50, 29), 5.0)).records
-        rows = kernel_rows(records)
+        report = build_envelope(EnvelopeParams(Center(50, 29), 5.0))
+        records, rows = report.records, report.rows
         assert len(rows) == len(records) > 3
         for i, rec in enumerate(records):
             assert rec._row is rows[i]
@@ -462,3 +464,136 @@ class TestEnvelopeRecords:
         fields[field] = value
         with pytest.raises(DomainError, match=rf"^record for \(3, 5\): {field} = "):
             EnvelopeRecord(**fields)
+
+
+def _with_bound_ok(rec, bound_ok):
+    """`rec` with its bound_ok replaced."""
+    return EnvelopeRecord(
+        rec.pair, rec.coeffs, rec.flipped, rec.segment, rec.t_contact,
+        rec.gap_alpha, rec.gap_beta, rec.deviation, bound_ok, rec.degenerate,
+    )
+
+
+_REFUSED = (
+    r"^records\[{}\] must be an EnvelopeRecord "
+    r"with bound_ok = \(deviation < epsilon\)$"
+)
+
+
+class TestReportBoundary:
+    """A report converts its records once, in its constructor, into one
+    EnvelopeRecords at its epsilon; the fold, the writers and the text
+    format read that store's rows."""
+
+    PARAMS = EnvelopeParams(Center(10, 3), 2.0)
+
+    @pytest.fixture
+    def built(self):
+        report = build_envelope(self.PARAMS)
+        assert report.neighbor_count == 2
+        return report
+
+    def test_build_envelope_keeps_the_scanned_list(self, monkeypatch):
+        scans = []
+        scan = envelope.kernels.envelope_scan
+
+        def recording_scan(*args):
+            scans.append(scan(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(envelope.kernels, "envelope_scan", recording_scan)
+        report = build_envelope(self.PARAMS)
+        assert report.rows is scans[0]
+        assert report.records._rows is scans[0]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda report: list(report.records),
+            lambda report: tuple(report.records),
+            lambda report: (rec for rec in report.records),
+            lambda report: EnvelopeRecords(list(report.rows), 2.0),
+            lambda report: EnvelopeRecords(list(report.rows), 3.0),
+        ],
+        ids=["list", "tuple", "generator", "records", "records at epsilon 3"],
+    )
+    def test_accepted_records_become_one_store(self, built, make):
+        report = VerificationReport(self.PARAMS, make(built))
+        assert type(report.records) is EnvelopeRecords
+        assert report.records._epsilon == self.PARAMS.epsilon
+        assert report.rows == built.rows
+        assert report == built and hash(report) == hash(built)
+        assert repr(report) == (
+            f"VerificationReport(params={self.PARAMS!r}, records=<2 envelope records>)"
+        )
+        assert to_csv(report) == to_csv(built)
+        assert to_svg(report) == to_svg(built)
+
+    def test_a_list_cleared_after_the_report_changes_nothing(self, built):
+        records = list(built.records)
+        report = VerificationReport(self.PARAMS, records)
+        records.clear()
+        assert report.neighbor_count == len(report.records) == 2
+        assert to_csv(report) == to_csv(built)
+        assert to_svg(report) == to_svg(built)
+
+    def test_a_contradicting_bound_ok_is_refused(self, built):
+        first, second = built.records
+        assert first.deviation == pytest.approx(0.086, abs=1e-3) and first.bound_ok
+        with pytest.raises(DomainError, match=_REFUSED.format(0)):
+            VerificationReport(self.PARAMS, [_with_bound_ok(first, False)])
+        with pytest.raises(DomainError, match=_REFUSED.format(1)):
+            VerificationReport(self.PARAMS, [first, _with_bound_ok(second, False)])
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            (10, 3, 7, 2, 1, 3, 0.5, 0.1, 0.1, 0.1),
+            CoprimePair(10, 3),
+            None,
+        ],
+        ids=["row tuple", "pair", "None"],
+    )
+    def test_an_item_that_is_not_a_record_is_refused(self, built, item):
+        with pytest.raises(DomainError, match=_REFUSED.format(0)):
+            VerificationReport(self.PARAMS, [item])
+        with pytest.raises(DomainError, match=_REFUSED.format(2)):
+            VerificationReport(self.PARAMS, [*built.records, item])
+
+    def test_records_at_another_epsilon_are_checked(self):
+        # (3, 5) with deviation 2.5: within epsilon 3, not within 2
+        row = (3, 5, 2, 3, 2, 1, 0.5, 0.25, 0.125, 2.5)
+        at_3 = EnvelopeRecords([row], 3.0)
+        assert at_3[0].bound_ok
+        with pytest.raises(DomainError, match=_REFUSED.format(0)):
+            VerificationReport(self.PARAMS, at_3)
+        # at the report's own epsilon the store is kept, and its bound fails
+        at_2 = EnvelopeRecords([row], 2.0)
+        report = VerificationReport(self.PARAMS, at_2)
+        assert report.records is at_2
+        assert not report.all_bounds_hold and not report.records[0].bound_ok
+
+    def test_rows_is_a_read_only_property(self, built):
+        assert "rows" not in VerificationReport._fields
+        with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+            built.rows = []
+        # nor can the store's rows be swapped after the fold
+        with pytest.raises(AttributeError, match="cannot assign to field '_rows'"):
+            built.records._rows = []
+        assert len(built.rows) == 2
+
+    def test_hand_built_report_pickles_and_copies(self, built):
+        report = VerificationReport(self.PARAMS, list(built.records))
+        copies = [
+            pickle.loads(pickle.dumps(obj, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            for obj in (report, built)
+        ]
+        copies += [copy.copy(report), copy.deepcopy(report), copy.deepcopy(built)]
+        for copied in copies:
+            assert type(copied.records) is EnvelopeRecords
+            assert copied == report and repr(copied) == repr(report)
+            assert copied.rows == built.rows
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            records = pickle.loads(pickle.dumps(built.records, protocol))
+            assert type(records) is EnvelopeRecords and records == built.records

@@ -22,7 +22,7 @@ from bezout_bezier import (
     to_csv,
     to_svg,
 )
-from bezout_bezier.envelope import EnvelopeRecords, kernel_rows
+from bezout_bezier.envelope import EnvelopeRecords
 from bezout_bezier.io_render import CHUNK_ROWS, CSV_HEADER, csv_chunks, svg_chunks
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -356,7 +356,7 @@ class TestChunks:
     def test_svg_header_reads_no_row(self, report):
         # the report reads its rows once, as it is built; the header
         # comes from that pass, so no row is read before the first chunk
-        rows = CountingRows(kernel_rows(report.records))
+        rows = CountingRows(report.rows)
         eps = report.params.epsilon
         counted = VerificationReport(report.params, EnvelopeRecords(rows, eps))
         assert rows.reads == 1

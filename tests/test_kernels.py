@@ -19,7 +19,6 @@ from bezout_bezier import (
     contact_parameter,
     endpoint_gaps,
 )
-from bezout_bezier.envelope import kernel_rows
 from oracles import envelope_scan_by_pairs, neighbors_by_bbox_scan
 
 CASES = [
@@ -174,8 +173,7 @@ _summary = attrgetter(
 )
 def test_report_summary_is_a_fold_over_the_records(p, q, radius):
     report = build_envelope(_params(p, q, radius))
-    records = report.records
-    rows = kernel_rows(records)
+    records, rows = report.records, report.rows
     assert _summary(report) == (
         len(records),
         all(rec.deviation < radius + 1.0 and rec.bound_ok for rec in records),

@@ -8,6 +8,8 @@ the constructors' exceptions and messages.
 import copy
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 from operator import attrgetter
 
 import pytest
@@ -114,7 +116,7 @@ CASES = {
         ("params", "records"),
         lambda: VerificationReport(EnvelopeParams(Center(10, 3), 2.0), (_record(),)),
         VerificationReport(EnvelopeParams(Center(10, 3), 2.0), ()),
-        f"VerificationReport(params={_PARAMS_REPR}, records=({_RECORD_REPR},))",
+        f"VerificationReport(params={_PARAMS_REPR}, records=<1 envelope records>)",
     ),
     "SweepResult": (
         ("center", "epsilon", "report", "skip_reason"),
@@ -313,6 +315,14 @@ _HUGE_TEXT = "<16610-bit integer>"
          "curve_samples must be >= 2 (got 1)"),
         (lambda: RenderOptions(stroke_width_fraction=1.0), DomainError,
          "stroke_width_fraction must lie in (0, 1) (got 1.0)"),
+        (lambda: RenderOptions(stroke_width_fraction="0.1"), DomainError,
+         "stroke_width_fraction must be a number (got '0.1')"),
+        (lambda: RenderOptions(stroke_width_fraction=Decimal("0.1")), DomainError,
+         "stroke_width_fraction must be a number (got Decimal('0.1'))"),
+        (lambda: RenderOptions(stroke_width_fraction=Fraction(1, 10)), DomainError,
+         "stroke_width_fraction must be a number (got Fraction(1, 10))"),
+        (lambda: RenderOptions(stroke_width_fraction=True), DomainError,
+         "stroke_width_fraction must be a number (got True)"),
         (lambda: RenderOptions(width_px=100.5), DomainError,
          "RenderOptions needs an integer width_px (got width_px = 100.5)"),
         (lambda: RenderOptions(curve_samples=2.5, show_curve=True), DomainError,
