@@ -1,7 +1,7 @@
 """The base class of the package's immutable value types, the one store
-of their fields, their integer field check with the supported range, the
-text their error messages give a value, and the row chunks that streamed
-output is written in.
+of their fields, their integer field check with the supported range and
+their real-number field check, the text their error messages give a
+value, and the row chunks that streamed output is written in.
 
 This module imports nothing heavy, so a command that writes rows in
 chunks without building an envelope (neighbors) gets ``chunked``
@@ -56,6 +56,13 @@ def require_int(
         )
     if in_range and value > INT_RANGE:
         raise DomainError(f"{name} = {show(value)} exceeds the supported range 2**31")
+
+
+def require_number(name: str, value) -> None:
+    """Raise DomainError, naming the field and value, unless `value` is
+    an int or a float and not a bool."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a number (got {show(value, text=repr)})")
 
 
 def chunked(rows):

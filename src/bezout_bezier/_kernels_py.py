@@ -1,8 +1,10 @@
 """The kernels: the hot loops behind enumeration and verification.
 
 Both scans walk the disk row by row: ``_disk_rows`` gathers the coprime
-s of each row r with one comprehension, so the disk predicate exists in
-one place.  ``envelope_scan`` then needs s**-1 mod r for every s of the
+s of each row r with one comprehension.  Disk membership is one integer
+rule, ``disk_limit``, exact at every radius; ``_disk_rows`` solves it
+for each row's bounds, and ``envelope.endpoint_gaps`` tests one pair
+with it.  ``envelope_scan`` then needs s**-1 mod r for every s of the
 row (the normalized coefficient a); ``_inverses_mod`` gets them all
 from one ``pow(x, -1, r)`` by batch inversion: prefix products mod r,
 one inverse of the last product, and a backward pass that peels the
@@ -24,26 +26,36 @@ required, within the supported integer range, a nonnegative radius),
 so the kernels do not.
 """
 
-from math import ceil, floor, gcd, sqrt
+from math import floor, gcd, isqrt, sqrt
+
+
+def disk_limit(radius):
+    """The disk rule: the lattice point (r, s) lies within `radius` of
+    the lattice point (p, q) iff (r - p)**2 + (s - q)**2 <= disk_limit(radius).
+
+    The limit is floor(radius * radius), or -1 (no point) for a negative
+    radius.  The squared distance is an integer, so it is at most
+    radius * radius exactly when it is at most the floor: the rule is
+    exact at every radius, with no rounding of the distance.
+    """
+    return floor(radius * radius) if radius >= 0 else -1
 
 
 def _disk_rows(p, q, radius):
     """(r, [s, ...]) for every row r of the disk that holds a coprime pair.
 
-    The s of a row are those of the bounding box with gcd(r, s) == 1
-    and (r, s) in the disk, in increasing order.  Disk membership is
-    decided on the exact integer squared distance cast to float.  Every
-    row shares the column of (s, (s - q)**2), so it is built once.  A
-    negative radius gives an empty box, so no row.
+    The s of a row are those with s >= 1, gcd(r, s) == 1 and (r, s) in
+    the disk by ``disk_limit``, in increasing order: the slice of one
+    shared column of s between q -/+ isqrt(limit - (r - p)**2), so every
+    row's s are the same int objects.  A negative radius gives no row.
     """
-    rr = radius * radius
-    column = [
-        (s, (s - q) * (s - q))
-        for s in range(max(1, ceil(q - radius)), floor(q + radius) + 1)
-    ]
-    for r in range(max(1, ceil(p - radius)), floor(p + radius) + 1):
-        dr2 = (r - p) * (r - p)
-        row = [s for s, ds2 in column if float(dr2 + ds2) <= rr and gcd(r, s) == 1]
+    limit = disk_limit(radius)
+    reach = isqrt(limit) if limit >= 0 else -1  # -1: no row and no column
+    s0 = max(1, q - reach)
+    column = list(range(s0, q + reach + 1))
+    for r in range(max(1, p - reach), p + reach + 1):
+        h = isqrt(limit - (r - p) * (r - p))
+        row = [s for s in column[max(1, q - h) - s0:q + h + 1 - s0] if gcd(r, s) == 1]
         if row:
             yield r, row
 
@@ -70,8 +82,8 @@ def _inverses_mod(xs, r):
 def coprime_pairs_in_disk(p, q, radius):
     """All positive coprime (r, s) with ||(r,s)-(p,q)|| <= radius.
 
-    Lexicographic (r, s) order.  Disk membership is decided on the exact
-    integer squared distance cast to float, as in ``envelope_scan``.
+    Lexicographic (r, s) order; disk membership is ``disk_limit``'s
+    integer rule, as in ``envelope_scan``.
     """
     return [(r, s) for r, row in _disk_rows(p, q, radius) for s in row]
 
@@ -131,8 +143,7 @@ def envelope_scan(p, q, radius):
     sit from the chord endpoints at t_contact, and deviation is the
     distance from the segment point to the curve point at t_contact.
     """
-    pf = float(p)
-    qf = float(q)
+    pf, qf = float(p), float(q)
     return [
         _row(pf, qf, r, s, inv or r)
         for r, row in _disk_rows(p, q, radius)

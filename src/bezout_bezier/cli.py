@@ -288,12 +288,10 @@ def cmd_audit_sweep(args) -> tuple[int, Iterable[str]]:
     try:
         # A leading byte order mark, which some editors write, is not text.
         with open(args.spec_path, encoding="utf-8") as handle:
-            text = handle.read().removeprefix("\ufeff")
+            rows = _parse_sweep_spec(handle.read().removeprefix("\ufeff"))
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.spec_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE, []
-    try:
-        rows = _parse_sweep_spec(text)
     except ValueError as exc:
         print(f"error: {args.spec_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE, []

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import eq
 
 from . import _kernels_py as kernels
-from ._frozen import Frozen, setfields, show
+from ._frozen import Frozen, require_number, setfields, show
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
 from .numtheory import (
@@ -77,7 +78,9 @@ class EnvelopeRecord(Frozen):
     objects (pair, coeffs, flipped, segment) are built from the row each
     time they are read.  The constructor takes all ten fields; coeffs,
     flipped, segment and degenerate must be the ones the pair
-    determines, or it raises DomainError.
+    determines, t_contact, the gaps and deviation must each be an int or
+    a float (not a bool), and bound_ok a bool, or it raises DomainError
+    naming the field.
     """
 
     __slots__ = ("_row", "bound_ok")
@@ -103,12 +106,17 @@ class EnvelopeRecord(Frozen):
         r, s = pair.r, pair.s
         a, b = coeffs.a, coeffs.b
         row = (r, s, a, b, s - b, r - a, t_contact, gap_alpha, gap_beta, deviation)
+        for name, value in zip(self._fields[4:8], row[6:]):
+            require_number(f"record for ({r}, {s}): {name}", value)
+        if not isinstance(bound_ok, bool):
+            raise DomainError(
+                f"record for ({r}, {s}): bound_ok must be a bool "
+                f"(got {show(bound_ok, text=repr)})"
+            )
         setfields(self, row, bound_ok)
-        for name, given in (
-            ("coeffs", coeffs),
-            ("flipped", flipped),
-            ("segment", segment),
-            ("degenerate", degenerate),
+        for name, given in zip(
+            ("coeffs", "flipped", "segment", "degenerate"),
+            (coeffs, flipped, segment, degenerate),
         ):
             implied = getattr(self, name)
             if given != implied:
@@ -121,9 +129,7 @@ class EnvelopeRecord(Frozen):
     pair = property(lambda self: _verified_pair(self._row[0], self._row[1]))
     # B(r, s): segment start, and B(s, r): segment end
     coeffs = property(lambda self: BezoutCoeffs(*self._row[2:4], self.pair))
-    flipped = property(
-        lambda self: BezoutCoeffs(*self._row[4:6], self.pair.flipped())
-    )
+    flipped = property(lambda self: BezoutCoeffs(*self._row[4:6], self.pair.flipped()))
     segment = property(lambda self: _segment(self._row))
     t_contact = property(lambda self: self._row[6])
     gap_alpha = property(lambda self: self._row[7])
@@ -178,10 +184,11 @@ class EnvelopeRecords(Frozen, Sequence):
 
     def __eq__(self, other):
         if isinstance(other, EnvelopeRecords) and self._epsilon == other._epsilon:
-            return self._rows == other._rows
+            # at one epsilon the rows decide the records, row by row
+            return len(self) == len(other) and all(map(eq, self._rows, other._rows))
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return len(self) == len(other) and all(map(eq, self, other))
 
     def __hash__(self) -> int:
         # the hash of the tuple of the same records, which compares equal
@@ -250,10 +257,8 @@ def _fold(rows: Sequence[tuple], eps: float) -> tuple:
     r, s >= 1, the flipped pair's identity and box, and finite (integer)
     segment endpoints.
     """
-    max_dev = 0.0
-    max_gap = 0.0
-    x_max = 0
-    y_max = 0
+    max_dev = max_gap = 0.0
+    x_max = y_max = 0
     all_ok = True
     for r, s, a, b, af, bf, _, gap_a, gap_b, dev in rows:
         if (
@@ -328,13 +333,14 @@ def endpoint_gaps(pair: CoprimePair, params: EnvelopeParams) -> tuple[float, flo
 
     gap_alpha = ||B(r,s) - alpha(t0)|| and gap_beta = ||B(s,r) - beta(t0)||
     at t0 = contact_parameter(pair).  Requires the pair to lie within
-    distance epsilon of the center; both gaps are then below epsilon + 1.
+    distance epsilon of the center, by the kernels' integer disk rule
+    ``_kernels_py.disk_limit``, exact at every epsilon; both gaps are
+    then below epsilon + 1.
     """
     p, q = params.center.p, params.center.q
     r, s = pair.r, pair.s
-    dr = r - p
-    ds = s - q
-    if float(dr * dr + ds * ds) > params.epsilon * params.epsilon:
+    dr, ds = r - p, s - q
+    if dr * dr + ds * ds > kernels.disk_limit(params.epsilon):
         raise HypothesisError(
             f"requires ||(r,s)-(p,q)|| <= epsilon (pair ({r}, {s}) lies "
             f"{math.hypot(dr, ds)} from ({p}, {q}) with epsilon = "

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 
 # CHUNK_ROWS, the rows per chunk of these documents, is also read from here
-from ._frozen import CHUNK_ROWS, Frozen, chunked, require_int, setfields, show
+from ._frozen import CHUNK_ROWS, Frozen, chunked, setfields, show
+from ._frozen import require_int, require_number
 from .envelope import VerificationReport
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
@@ -73,10 +74,7 @@ class RenderOptions(Frozen):
         if curve_samples < 2:
             raise DomainError(f"curve_samples must be >= 2 (got {show(curve_samples)})")
         frac = stroke_width_fraction
-        if not isinstance(frac, (int, float)) or isinstance(frac, bool):
-            raise DomainError(
-                f"stroke_width_fraction must be a number (got {show(frac, text=repr)})"
-            )
+        require_number("stroke_width_fraction", frac)
         if not 0.0 < frac < 1.0:
             raise DomainError(
                 f"stroke_width_fraction must lie in (0, 1) (got {show(frac)})"

@@ -145,12 +145,13 @@ def extend_pair(coeffs: BezoutCoeffs) -> CoprimePair:
 def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     """All coprime pairs (r, s), r, s >= 1, within `radius` of the center.
 
-    Sorted lexicographically by (r, s).  The center itself is included
-    when it qualifies.  An empty list is a valid result.  The kernel's
-    pairs are checked in bulk for everything CoprimePair checks one at a
-    time (entries in [1, 2**31], gcd 1), at C speed; a pair that fails
-    raises DomainError naming it.  `radius` is an int or a float, not a
-    bool: anything else raises DomainError.
+    Within is the kernels' integer disk rule, ``_kernels_py.disk_limit``,
+    exact at every radius.  Sorted lexicographically by (r, s).  The
+    center itself is included when it qualifies.  An empty list is a
+    valid result.  The kernel's pairs are checked in bulk for everything
+    CoprimePair checks one at a time (entries in [1, 2**31], gcd 1), at
+    C speed; a pair that fails raises DomainError naming it.  `radius`
+    is an int or a float, not a bool: anything else raises DomainError.
     """
     if not isinstance(radius, (int, float)) or isinstance(radius, bool):
         raise DomainError("radius must be a number")

@@ -143,6 +143,31 @@ class TestEndpointGaps:
         with pytest.raises(HypothesisError, match="<= epsilon"):
             endpoint_gaps(CoprimePair(4, 5), params)
 
+    def test_pair_on_the_circle_is_accepted(self):
+        # (27, 11) - (30, 7) = (-3, 4): exactly epsilon away
+        params = EnvelopeParams(Center(30, 7), 5.0)
+        gap_a, gap_b = endpoint_gaps(CoprimePair(27, 11), params)
+        assert gap_a < 6.0 and gap_b < 6.0
+
+    def test_nearest_lattice_point_outside_is_refused(self):
+        # (35, 8) - (30, 7) = (5, 1): squared distance 26, the next one past 25
+        params = EnvelopeParams(Center(30, 7), 5.0)
+        with pytest.raises(HypothesisError) as excinfo:
+            endpoint_gaps(CoprimePair(35, 8), params)
+        assert str(excinfo.value) == (
+            "requires ||(r,s)-(p,q)|| <= epsilon (pair (35, 8) lies "
+            "5.0990195135927845 from (30, 7) with epsilon = 5.0)"
+        )
+
+    def test_membership_is_exact_beyond_2_53(self):
+        # squared distance 2**54 + 1 against epsilon**2 = 2**54: cast to a
+        # float, the distance rounds to 2**54 and the pair would pass
+        p = 2**30
+        params = EnvelopeParams(Center(p, 0), 2.0**27)
+        assert float(2**54 + 1) == params.epsilon**2
+        with pytest.raises(HypothesisError, match=r"pair \(939524096, 1\) lies"):
+            endpoint_gaps(CoprimePair(p - 2**27, 1), params)
+
 
 class TestBuildEnvelope:
     def test_reference_center(self):
@@ -365,6 +390,18 @@ class TestEnvelopeRecords:
         with pytest.raises(TypeError):
             records[0] = listed[0]
 
+    def test_stores_of_a_list_and_a_tuple_are_equal(self):
+        params = EnvelopeParams(Center(10, 3), 2.0)
+        built = build_envelope(params)
+        rows = built.rows
+        as_list = EnvelopeRecords(list(rows), 2.0)
+        as_tuple = EnvelopeRecords(tuple(rows), 2.0)
+        assert as_list == as_tuple and as_tuple == as_list
+        assert hash(as_list) == hash(as_tuple)
+        assert as_list != EnvelopeRecords(tuple(rows[:-1]), 2.0)
+        assert as_list != EnvelopeRecords(tuple(reversed(rows)), 2.0)
+        assert VerificationReport(params, as_tuple) == built
+
     def test_unequal_to_a_non_sequence_and_printed_by_length(self):
         records = build_envelope(EnvelopeParams(Center(50, 29), 5.0)).records
         assert (records == 5) is False
@@ -436,7 +473,6 @@ class TestEnvelopeRecords:
         assert hash(report) == hash(same)
         assert hash(report.records) == hash(tuple(report.records))
 
-    # (3, 5): B(3, 5) = (2, 3), B(5, 3) = (2, 1)
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -447,23 +483,58 @@ class TestEnvelopeRecords:
         ],
     )
     def test_contradicting_record_raises(self, field, value):
-        pair = CoprimePair(3, 5)
-        fields = dict(
-            pair=pair,
-            coeffs=BezoutCoeffs(2, 3, pair),
-            flipped=BezoutCoeffs(2, 1, CoprimePair(5, 3)),
-            segment=Segment(Point2(2.0, 3.0), Point2(2.0, 1.0)),
-            t_contact=0.5,
-            gap_alpha=0.25,
-            gap_beta=0.125,
-            deviation=0.75,
-            bound_ok=True,
-            degenerate=False,
-        )
+        fields = _record_fields()
         EnvelopeRecord(**fields)
         fields[field] = value
         with pytest.raises(DomainError, match=rf"^record for \(3, 5\): {field} = "):
             EnvelopeRecord(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("t_contact", "0.5", "a number"),
+            ("gap_alpha", None, "a number"),
+            ("gap_beta", True, "a number"),
+            ("deviation", [0.1], "a number"),
+            ("bound_ok", 1, "a bool"),
+            ("bound_ok", "true", "a bool"),
+            ("bound_ok", None, "a bool"),
+        ],
+    )
+    def test_field_of_the_wrong_type_raises(self, field, value, kind):
+        fields = _record_fields()
+        fields[field] = value
+        with pytest.raises(DomainError) as excinfo:
+            EnvelopeRecord(**fields)
+        assert str(excinfo.value) == (
+            f"record for (3, 5): {field} must be {kind} (got {value!r})"
+        )
+
+    def test_int_reals_are_accepted(self):
+        fields = _record_fields()
+        fields.update(t_contact=1, gap_alpha=0, gap_beta=2, deviation=0)
+        rec = EnvelopeRecord(**fields)
+        assert (rec.t_contact, rec.deviation) == (1, 0)
+        report = VerificationReport(EnvelopeParams(Center(10, 3), 2.0), [rec])
+        assert report.max_deviation == 0 and report.all_bounds_hold
+
+
+def _record_fields():
+    """The ten fields of a consistent record for (3, 5): B(3, 5) = (2, 3)
+    and B(5, 3) = (2, 1)."""
+    pair = CoprimePair(3, 5)
+    return dict(
+        pair=pair,
+        coeffs=BezoutCoeffs(2, 3, pair),
+        flipped=BezoutCoeffs(2, 1, CoprimePair(5, 3)),
+        segment=Segment(Point2(2.0, 3.0), Point2(2.0, 1.0)),
+        t_contact=0.5,
+        gap_alpha=0.25,
+        gap_beta=0.125,
+        deviation=0.75,
+        bound_ok=True,
+        degenerate=False,
+    )
 
 
 def _with_bound_ok(rec, bound_ok):

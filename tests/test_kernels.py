@@ -142,6 +142,50 @@ def test_bezout_box_and_identity_random():
         assert 0 <= b < s
 
 
+# Radii where the integer disk rule meets its boundary: 5.0 puts the
+# (+-3, +-4) and (+-5, 0) offsets on the circle; (3 * 2**0.5)**2 rounds to
+# just above 18, so the (+-3, +-3) offsets are in; 7.3 and the float just
+# below 3.0 fall between lattice circles; 0 and 0.5 hold the center alone,
+# and a negative radius holds nothing.
+BOUNDARY_RADII = [5.0, 3 * 2**0.5, 7.3, math.nextafter(3.0, 0), 0, 0.5, -0.5, -3]
+# (10, 7) is unclamped; q = 0 clamps every disk at s >= 1, and p - radius
+# < 1 at r >= 1.
+BOUNDARY_CENTERS = [(10, 7), (50, 0), (1, 0), (3, 2), (2, 9), (4, 1)]
+
+
+@pytest.mark.parametrize("radius", BOUNDARY_RADII)
+@pytest.mark.parametrize("p, q", BOUNDARY_CENTERS)
+def test_disk_boundary_matches_oracles(p, q, radius):
+    pairs = _kernels_py.coprime_pairs_in_disk(p, q, radius)
+    assert pairs == neighbors_by_bbox_scan(p, q, radius)
+    rows = _kernels_py.envelope_scan(p, q, radius)
+    assert rows == envelope_scan_by_pairs(p, q, radius)
+
+
+def test_disk_limit_is_the_integer_rule():
+    limit = _kernels_py.disk_limit
+    assert limit(5.0) == 25
+    assert limit(3 * 2**0.5) == 18
+    assert limit(math.nextafter(3.0, 0)) == 8
+    assert limit(7.3) == 53
+    assert limit(0) == limit(0.5) == 0
+    assert limit(-0.5) == limit(-3) == -1
+    assert limit(2.0**27) == 2**54
+
+
+def test_points_on_and_off_the_circle():
+    # (10, 7) plus (+-3, +-4) and (+-5, 0): exactly 5 away, all coprime
+    on_circle = {(13, 11), (7, 3), (13, 3), (7, 11), (15, 7), (5, 7)}
+    assert on_circle <= set(_kernels_py.coprime_pairs_in_disk(10, 7, 5.0))
+    # (+-3, +-3) offsets are in at 3 * 2**0.5
+    assert (13, 10) in _kernels_py.coprime_pairs_in_disk(10, 7, 3 * 2**0.5)
+    # just below 3: (3, 0) is out, (-2, -2) and (2, -2) are still in
+    below = _kernels_py.coprime_pairs_in_disk(10, 7, math.nextafter(3.0, 0))
+    assert (13, 7) not in below
+    assert (8, 5) in below and (12, 5) in below
+    assert (13, 7) in _kernels_py.coprime_pairs_in_disk(10, 7, 3.0)
+
+
 def test_negative_radius_yields_empty():
     assert _kernels_py.coprime_pairs_in_disk(10, 10, -1.0) == []
     assert _kernels_py.envelope_scan(10, 3, -0.5) == []

@@ -386,6 +386,16 @@ _HUGE_TEXT = "<16610-bit integer>"
             id="huge int Point2 x",
         ),
         pytest.param(
+            lambda: _record(bound_ok=_HUGE), DomainError,
+            f"record for (3, 5): bound_ok must be a bool (got {_HUGE_TEXT})",
+            id="huge int EnvelopeRecord bound_ok",
+        ),
+        pytest.param(
+            lambda: _record(deviation="0.1"), DomainError,
+            "record for (3, 5): deviation must be a number (got '0.1')",
+            id="str EnvelopeRecord deviation",
+        ),
+        pytest.param(
             lambda: _record(degenerate=_HUGE), DomainError,
             f"record for (3, 5): degenerate = {_HUGE_TEXT} contradicts the pair, "
             "which gives False",
