@@ -1,6 +1,7 @@
 """The base class of the package's immutable value types, the one store
-of their fields, their integer field check with the supported range and
-their real-number field check, the text their error messages give a
+of their fields, their integer field check with the supported range,
+their real-number field check and their check that a field is an
+instance of its class, the text their error messages give a
 value, and the row chunks that streamed output is written in.
 
 This module imports nothing heavy, so a command that writes rows in
@@ -56,6 +57,16 @@ def require_int(
         )
     if in_range and value > INT_RANGE:
         raise DomainError(f"{name} = {show(value)} exceeds the supported range 2**31")
+
+
+def require_instance(owner: str, name: str, value, cls: type) -> None:
+    """Raise DomainError, naming the field and value, unless `value` is
+    an instance of `cls`."""
+    if not isinstance(value, cls):
+        raise DomainError(
+            f"{owner} needs {name} of type {cls.__name__} "
+            f"(got {name} = {show(value, text=repr)})"
+        )
 
 
 def require_number(name: str, value) -> None:

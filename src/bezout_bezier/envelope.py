@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from operator import eq
 
 from . import _kernels_py as kernels
-from ._frozen import Frozen, require_number, setfields, show
+from ._frozen import Frozen, require_instance, setfields, show
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
 from .numtheory import (
@@ -40,6 +40,7 @@ class EnvelopeParams(Frozen):
     epsilon: float
 
     def __init__(self, center: Center, epsilon: float):
+        require_instance("EnvelopeParams", "center", center, Center)
         p, q = center.p, center.q
         if p <= 3:
             raise HypothesisError(f"requires p > 3 (got p = {p})")
@@ -71,61 +72,31 @@ class EnvelopeParams(Frozen):
 
 
 class EnvelopeRecord(Frozen):
-    """One coprime neighbor with its segment and measured deviations.
+    """One coprime neighbor of a center, measured by the kernel.
 
-    Holds its kernel row (r, s, a, b, a_flip, b_flip, t_contact,
-    gap_alpha, gap_beta, deviation) and bound_ok.  The fields that are
-    objects (pair, coeffs, flipped, segment) are built from the row each
-    time they are read.  The constructor takes all ten fields; coeffs,
-    flipped, segment and degenerate must be the ones the pair
-    determines, t_contact, the gaps and deviation must each be an int or
-    a float (not a bool), and bound_ok a bool, or it raises DomainError
-    naming the field.
+    EnvelopeRecord(pair, params) holds the pair's kernel row (r, s, a,
+    b, a_flip, b_flip, t_contact, gap_alpha, gap_beta, deviation) for
+    params.center, computed by ``_kernels_py.pair_row``, and the params.
+    Its fields are the pair and the params: it compares, hashes, prints,
+    pickles and copies as those two.  The other attributes are read-only
+    properties of the row; the objects among them (pair, coeffs,
+    flipped, segment) are built each time they are read, and bound_ok
+    is deviation < params.epsilon.  A pair that is not a CoprimePair, or
+    params that are not EnvelopeParams, raise DomainError naming the
+    field.
     """
 
-    __slots__ = ("_row", "bound_ok")
-    _fields = (
-        "pair", "coeffs", "flipped", "segment", "t_contact",
-        "gap_alpha", "gap_beta", "deviation", "bound_ok", "degenerate",
-    )
-    bound_ok: bool
+    __slots__ = ("_row", "params")
+    _fields = ("pair", "params")
+    params: EnvelopeParams
 
-    def __init__(
-        self,
-        pair: CoprimePair,
-        coeffs: BezoutCoeffs,
-        flipped: BezoutCoeffs,
-        segment: Segment,
-        t_contact: float,
-        gap_alpha: float,
-        gap_beta: float,
-        deviation: float,
-        bound_ok: bool,
-        degenerate: bool,
-    ):
-        r, s = pair.r, pair.s
-        a, b = coeffs.a, coeffs.b
-        row = (r, s, a, b, s - b, r - a, t_contact, gap_alpha, gap_beta, deviation)
-        for name, value in zip(self._fields[4:8], row[6:]):
-            require_number(f"record for ({r}, {s}): {name}", value)
-        if not isinstance(bound_ok, bool):
-            raise DomainError(
-                f"record for ({r}, {s}): bound_ok must be a bool "
-                f"(got {show(bound_ok, text=repr)})"
-            )
-        setfields(self, row, bound_ok)
-        for name, given in zip(
-            ("coeffs", "flipped", "segment", "degenerate"),
-            (coeffs, flipped, segment, degenerate),
-        ):
-            implied = getattr(self, name)
-            if given != implied:
-                raise DomainError(
-                    f"record for ({r}, {s}): {name} = {show(given, text=repr)} "
-                    f"contradicts the pair, which gives {implied!r}"
-                )
+    def __init__(self, pair: CoprimePair, params: EnvelopeParams):
+        require_instance("EnvelopeRecord", "pair", pair, CoprimePair)
+        require_instance("EnvelopeRecord", "params", params, EnvelopeParams)
+        center = params.center
+        setfields(self, kernels.pair_row(center.p, center.q, pair.r, pair.s), params)
 
-    # The fields, read from the row; the objects are built on each read.
+    # The attributes, read from the row; the objects are built on each read.
     pair = property(lambda self: _verified_pair(self._row[0], self._row[1]))
     # B(r, s): segment start, and B(s, r): segment end
     coeffs = property(lambda self: BezoutCoeffs(*self._row[2:4], self.pair))
@@ -135,6 +106,7 @@ class EnvelopeRecord(Frozen):
     gap_alpha = property(lambda self: self._row[7])
     gap_beta = property(lambda self: self._row[8])
     deviation = property(lambda self: self._row[9])
+    bound_ok = property(lambda self: self._row[9] < self.params.epsilon)
     # only (1, 1): the segment collapses to a point
     degenerate = property(lambda self: self._row[0] == self._row[1])
 
@@ -147,28 +119,29 @@ def _segment(row: tuple) -> Segment:
 
 # The slots' own setters: they bypass the frozen __setattr__.
 _new = object.__new__
-_set_row, _set_bound_ok = EnvelopeRecord._setters
+_set_row, _set_params = EnvelopeRecord._setters
 
 
 class EnvelopeRecords(Frozen, Sequence):
     """Immutable sequence of EnvelopeRecord over verified kernel rows.
 
-    A record, one object over its row, is built only when it is
-    accessed.  Compares equal to any sequence of equal records.  Its
-    fields are the rows and epsilon: it pickles and copies as those two.
+    The rows are kernel rows for params.center.  A record, one object
+    over its row and the params, is built only when it is accessed.
+    Compares equal to any sequence of equal records.  Its fields are the
+    rows and the params: it pickles and copies as those two.
     """
 
-    __slots__ = ("_rows", "_epsilon")
+    __slots__ = ("_rows", "params")
+    params: EnvelopeParams
 
-    def __init__(self, rows: Sequence[tuple], epsilon: float):
-        setfields(self, rows, epsilon)
+    def __init__(self, rows: Sequence[tuple], params: EnvelopeParams):
+        setfields(self, rows, params)
 
     def _record(self, row: tuple) -> EnvelopeRecord:
-        # The row is verified: the constructor's checks would only repeat
-        # the report's bulk pass.
+        # The row is the kernel's: the constructor would only compute it again.
         rec = _new(EnvelopeRecord)
         _set_row(rec, row)
-        _set_bound_ok(rec, row[9] < self._epsilon)
+        _set_params(rec, self.params)
         return rec
 
     def __len__(self) -> int:
@@ -176,15 +149,15 @@ class EnvelopeRecords(Frozen, Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return EnvelopeRecords(self._rows[index], self._epsilon)
+            return EnvelopeRecords(self._rows[index], self.params)
         return self._record(self._rows[index])
 
     def __iter__(self):
         return map(self._record, self._rows)
 
     def __eq__(self, other):
-        if isinstance(other, EnvelopeRecords) and self._epsilon == other._epsilon:
-            # at one epsilon the rows decide the records, row by row
+        if isinstance(other, EnvelopeRecords) and self.params == other.params:
+            # at equal params the rows decide the records, row by row
             return len(self) == len(other) and all(map(eq, self._rows, other._rows))
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -201,12 +174,13 @@ class EnvelopeRecords(Frozen, Sequence):
 class VerificationReport(Frozen):
     """One (center, epsilon) run: its params and its records.
 
-    The records are stored as one EnvelopeRecords at params.epsilon:
-    the one build_envelope passes is kept as it is, and any other
-    iterable of EnvelopeRecord is read once into a new row list.  An
-    item that is not an EnvelopeRecord, or whose bound_ok is not
-    deviation < epsilon, raises DomainError naming its index.  The
-    constructor then verifies the kernel rows in one pass that also
+    The records are stored as one EnvelopeRecords at these params: one
+    whose params equal them, as build_envelope passes, is kept as it
+    is, and any other iterable is read once, item by item, into a new
+    row list.  Each item must be an EnvelopeRecord whose params equal
+    the report's; any other raises DomainError naming its index.  So
+    every number in a report is one the kernel computed for its params.
+    The constructor then verifies the kernel rows in one pass that also
     derives the summary: neighbor_count, all_bounds_hold (every
     deviation < epsilon), max_deviation, max_endpoint_gap and extent,
     the largest (x, y) of any segment endpoint ((0, 0) for no records).
@@ -219,11 +193,10 @@ class VerificationReport(Frozen):
     records: EnvelopeRecords
 
     def __init__(self, params: EnvelopeParams, records: Iterable[EnvelopeRecord]):
-        eps = params.epsilon
-        if not (isinstance(records, EnvelopeRecords) and records._epsilon == eps):
-            rows = [_record_row(i, rec, eps) for i, rec in enumerate(records)]
-            records = EnvelopeRecords(rows, eps)
-        setfields(self, params, records, _fold(records._rows, eps))
+        if not (isinstance(records, EnvelopeRecords) and records.params == params):
+            rows = [_record_row(i, rec, params) for i, rec in enumerate(records)]
+            records = EnvelopeRecords(rows, params)
+        setfields(self, params, records, _fold(records._rows, params.epsilon))
 
     # The kernel rows of the records: the one store that the fold and every
     # writer read.
@@ -237,14 +210,12 @@ class VerificationReport(Frozen):
     extent = property(lambda self: self._summary[4:])
 
 
-def _record_row(i: int, rec: EnvelopeRecord, eps: float) -> tuple:
-    """The kernel row of records[i], an EnvelopeRecord whose bound_ok is
-    its deviation < eps; anything else raises DomainError."""
-    if isinstance(rec, EnvelopeRecord) and rec.bound_ok == (rec.deviation < eps):
+def _record_row(i: int, rec: EnvelopeRecord, params: EnvelopeParams) -> tuple:
+    """The kernel row of records[i], an EnvelopeRecord at `params`;
+    anything else raises DomainError."""
+    if isinstance(rec, EnvelopeRecord) and rec.params == params:
         return rec._row
-    raise DomainError(
-        f"records[{i}] must be an EnvelopeRecord with bound_ok = (deviation < epsilon)"
-    )
+    raise DomainError(f"records[{i}] must be an EnvelopeRecord at the report's params")
 
 
 def _fold(rows: Sequence[tuple], eps: float) -> tuple:
@@ -358,7 +329,7 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
     pair of a row that fails.
     """
     rows = kernels.envelope_scan(params.center.p, params.center.q, params.radius)
-    return VerificationReport(params, EnvelopeRecords(rows, params.epsilon))
+    return VerificationReport(params, EnvelopeRecords(rows, params))
 
 
 def sweep_one(center: Center, epsilon: float) -> SweepResult:

@@ -21,7 +21,7 @@ import math
 
 # CHUNK_ROWS, the rows per chunk of these documents, is also read from here
 from ._frozen import CHUNK_ROWS, Frozen, chunked, setfields, show
-from ._frozen import require_int, require_number
+from ._frozen import require_instance, require_int, require_number
 from .envelope import VerificationReport
 from .errors import DomainError
 from .geometry import QuadBezier, quad_point
@@ -69,6 +69,8 @@ class RenderOptions(Frozen):
     ):
         require_int("RenderOptions", "width_px", width_px)
         require_int("RenderOptions", "curve_samples", curve_samples)
+        require_instance("RenderOptions", "show_curve", show_curve, bool)
+        require_instance("RenderOptions", "show_controls", show_controls, bool)
         if width_px < 16:
             raise DomainError(f"width_px must be >= 16 (got {show(width_px)})")
         if curve_samples < 2:

@@ -12,7 +12,7 @@ import math
 from itertools import chain, starmap
 
 from . import _kernels_py as kernels
-from ._frozen import INT_RANGE, Frozen, require_int, setfields, show
+from ._frozen import INT_RANGE, Frozen, require_instance, require_int, setfields, show
 from .errors import DomainError
 
 
@@ -73,6 +73,7 @@ class BezoutCoeffs(Frozen):
     def __init__(self, a: int, b: int, pair: CoprimePair):
         require_int("BezoutCoeffs", "a", a)
         require_int("BezoutCoeffs", "b", b)
+        require_instance("BezoutCoeffs", "pair", pair, CoprimePair)
         p, q = pair.r, pair.s
         if a * q - b * p != 1:
             raise DomainError(

@@ -394,12 +394,12 @@ class TestEnvelopeRecords:
         params = EnvelopeParams(Center(10, 3), 2.0)
         built = build_envelope(params)
         rows = built.rows
-        as_list = EnvelopeRecords(list(rows), 2.0)
-        as_tuple = EnvelopeRecords(tuple(rows), 2.0)
+        as_list = EnvelopeRecords(list(rows), params)
+        as_tuple = EnvelopeRecords(tuple(rows), params)
         assert as_list == as_tuple and as_tuple == as_list
         assert hash(as_list) == hash(as_tuple)
-        assert as_list != EnvelopeRecords(tuple(rows[:-1]), 2.0)
-        assert as_list != EnvelopeRecords(tuple(reversed(rows)), 2.0)
+        assert as_list != EnvelopeRecords(tuple(rows[:-1]), params)
+        assert as_list != EnvelopeRecords(tuple(reversed(rows)), params)
         assert VerificationReport(params, as_tuple) == built
 
     def test_unequal_to_a_non_sequence_and_printed_by_length(self):
@@ -412,43 +412,18 @@ class TestEnvelopeRecords:
         report = build_envelope(EnvelopeParams(Center(40, 17), 4.0))
         for rec in report.records:
             pair = CoprimePair(rec.pair.r, rec.pair.s)
-            coeffs = BezoutCoeffs(rec.coeffs.a, rec.coeffs.b, pair)
-            flipped = BezoutCoeffs(
-                rec.flipped.a, rec.flipped.b, CoprimePair(pair.s, pair.r)
-            )
-            assert rec == EnvelopeRecord(
-                pair=pair,
-                coeffs=coeffs,
-                flipped=flipped,
-                segment=Segment(
-                    Point2(float(coeffs.a), float(coeffs.b)),
-                    Point2(float(flipped.a), float(flipped.b)),
-                ),
-                t_contact=rec.t_contact,
-                gap_alpha=rec.gap_alpha,
-                gap_beta=rec.gap_beta,
-                deviation=rec.deviation,
-                bound_ok=rec.deviation < 4.0,
-                degenerate=pair.r == pair.s,
-            )
+            built = EnvelopeRecord(pair, report.params)
+            assert rec == built
+            assert repr(rec._row) == repr(built._row)
+            assert rec.coeffs == bezout_coefficients(pair)
+            assert rec.flipped == bezout_coefficients(CoprimePair(pair.s, pair.r))
+            assert rec.segment == bezout_segment(pair)
+            assert rec.degenerate == (pair.r == pair.s)
 
     def test_record_contract_matches_validated_construction(self):
         report = build_envelope(EnvelopeParams(Center(40, 17), 4.0))
         for rec in report.records:
-            pair = CoprimePair(rec.pair.r, rec.pair.s)
-            flipped_pair = CoprimePair(pair.s, pair.r)
-            built = EnvelopeRecord(
-                pair,
-                bezout_coefficients(pair),
-                bezout_coefficients(flipped_pair),
-                bezout_segment(pair),
-                contact_parameter(pair),
-                rec.gap_alpha,
-                rec.gap_beta,
-                rec.deviation,
-                rec.deviation < 4.0,
-                pair.r == pair.s,
-            )
+            built = EnvelopeRecord(CoprimePair(rec.pair.r, rec.pair.s), report.params)
             assert repr(rec) == repr(built)
             assert rec == built and built == rec
             assert hash(rec) == hash(built)
@@ -473,82 +448,8 @@ class TestEnvelopeRecords:
         assert hash(report) == hash(same)
         assert hash(report.records) == hash(tuple(report.records))
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("coeffs", BezoutCoeffs(2, 3, CoprimePair(5, 8))),
-            ("flipped", BezoutCoeffs(1, 0, CoprimePair(2, 1))),
-            ("segment", Segment(Point2(2.0, 1.0), Point2(2.0, 3.0))),
-            ("degenerate", True),
-        ],
-    )
-    def test_contradicting_record_raises(self, field, value):
-        fields = _record_fields()
-        EnvelopeRecord(**fields)
-        fields[field] = value
-        with pytest.raises(DomainError, match=rf"^record for \(3, 5\): {field} = "):
-            EnvelopeRecord(**fields)
 
-    @pytest.mark.parametrize(
-        "field, value, kind",
-        [
-            ("t_contact", "0.5", "a number"),
-            ("gap_alpha", None, "a number"),
-            ("gap_beta", True, "a number"),
-            ("deviation", [0.1], "a number"),
-            ("bound_ok", 1, "a bool"),
-            ("bound_ok", "true", "a bool"),
-            ("bound_ok", None, "a bool"),
-        ],
-    )
-    def test_field_of_the_wrong_type_raises(self, field, value, kind):
-        fields = _record_fields()
-        fields[field] = value
-        with pytest.raises(DomainError) as excinfo:
-            EnvelopeRecord(**fields)
-        assert str(excinfo.value) == (
-            f"record for (3, 5): {field} must be {kind} (got {value!r})"
-        )
-
-    def test_int_reals_are_accepted(self):
-        fields = _record_fields()
-        fields.update(t_contact=1, gap_alpha=0, gap_beta=2, deviation=0)
-        rec = EnvelopeRecord(**fields)
-        assert (rec.t_contact, rec.deviation) == (1, 0)
-        report = VerificationReport(EnvelopeParams(Center(10, 3), 2.0), [rec])
-        assert report.max_deviation == 0 and report.all_bounds_hold
-
-
-def _record_fields():
-    """The ten fields of a consistent record for (3, 5): B(3, 5) = (2, 3)
-    and B(5, 3) = (2, 1)."""
-    pair = CoprimePair(3, 5)
-    return dict(
-        pair=pair,
-        coeffs=BezoutCoeffs(2, 3, pair),
-        flipped=BezoutCoeffs(2, 1, CoprimePair(5, 3)),
-        segment=Segment(Point2(2.0, 3.0), Point2(2.0, 1.0)),
-        t_contact=0.5,
-        gap_alpha=0.25,
-        gap_beta=0.125,
-        deviation=0.75,
-        bound_ok=True,
-        degenerate=False,
-    )
-
-
-def _with_bound_ok(rec, bound_ok):
-    """`rec` with its bound_ok replaced."""
-    return EnvelopeRecord(
-        rec.pair, rec.coeffs, rec.flipped, rec.segment, rec.t_contact,
-        rec.gap_alpha, rec.gap_beta, rec.deviation, bound_ok, rec.degenerate,
-    )
-
-
-_REFUSED = (
-    r"^records\[{}\] must be an EnvelopeRecord "
-    r"with bound_ok = \(deviation < epsilon\)$"
-)
+_REFUSED = r"^records\[{}\] must be an EnvelopeRecord at the report's params$"
 
 
 class TestReportBoundary:
@@ -583,15 +484,18 @@ class TestReportBoundary:
             lambda report: list(report.records),
             lambda report: tuple(report.records),
             lambda report: (rec for rec in report.records),
-            lambda report: EnvelopeRecords(list(report.rows), 2.0),
-            lambda report: EnvelopeRecords(list(report.rows), 3.0),
+            lambda report: EnvelopeRecords(list(report.rows), report.params),
+            # equal params, another object: the store is still kept
+            lambda report: EnvelopeRecords(
+                list(report.rows), EnvelopeParams(Center(10, 3), 2.0)
+            ),
         ],
-        ids=["list", "tuple", "generator", "records", "records at epsilon 3"],
+        ids=["list", "tuple", "generator", "records", "records at equal params"],
     )
     def test_accepted_records_become_one_store(self, built, make):
         report = VerificationReport(self.PARAMS, make(built))
         assert type(report.records) is EnvelopeRecords
-        assert report.records._epsilon == self.PARAMS.epsilon
+        assert report.records.params == self.PARAMS
         assert report.rows == built.rows
         assert report == built and hash(report) == hash(built)
         assert repr(report) == (
@@ -608,13 +512,25 @@ class TestReportBoundary:
         assert to_csv(report) == to_csv(built)
         assert to_svg(report) == to_svg(built)
 
-    def test_a_contradicting_bound_ok_is_refused(self, built):
-        first, second = built.records
-        assert first.deviation == pytest.approx(0.086, abs=1e-3) and first.bound_ok
+    def test_a_record_holds_the_numbers_the_kernel_computed(self, built):
+        # its numbers cannot be given, only the pair and params
+        with pytest.raises(TypeError):
+            EnvelopeRecord(CoprimePair(10, 3), self.PARAMS, 0.0)
+        rec = EnvelopeRecord(CoprimePair(10, 3), self.PARAMS)
+        assert rec == built.records[0]
+        assert rec.deviation == pytest.approx(0.0862, abs=1e-4)
+        assert rec.gap_alpha == pytest.approx(0.0958, abs=1e-4)
+        assert rec.gap_beta == pytest.approx(0.0958, abs=1e-4)
+        line = to_csv(VerificationReport(self.PARAMS, [rec])).splitlines()[1]
+        assert line.endswith(",0.0957826285221,0.0957826285221,0.0862155212583,true")
+
+    def test_records_of_another_center_are_refused(self, built):
+        other = EnvelopeParams(Center(50, 7), 2.0)
         with pytest.raises(DomainError, match=_REFUSED.format(0)):
-            VerificationReport(self.PARAMS, [_with_bound_ok(first, False)])
+            VerificationReport(other, built.records)
+        own = EnvelopeRecord(CoprimePair(50, 7), other)
         with pytest.raises(DomainError, match=_REFUSED.format(1)):
-            VerificationReport(self.PARAMS, [first, _with_bound_ok(second, False)])
+            VerificationReport(other, [own, *built.records])
 
     @pytest.mark.parametrize(
         "item",
@@ -632,17 +548,25 @@ class TestReportBoundary:
             VerificationReport(self.PARAMS, [*built.records, item])
 
     def test_records_at_another_epsilon_are_checked(self):
-        # (3, 5) with deviation 2.5: within epsilon 3, not within 2
-        row = (3, 5, 2, 3, 2, 1, 0.5, 0.25, 0.125, 2.5)
-        at_3 = EnvelopeRecords([row], 3.0)
+        # (3, 5) lies 7.3 from (10, 3): deviation 2.28, within epsilon 3,
+        # not within 2
+        row = envelope.kernels.pair_row(10, 3, 3, 5)
+        at_3 = EnvelopeRecords([row], EnvelopeParams(Center(10, 3), 3.0))
+        assert at_3[0].deviation == pytest.approx(2.2838, abs=1e-4)
         assert at_3[0].bound_ok
         with pytest.raises(DomainError, match=_REFUSED.format(0)):
             VerificationReport(self.PARAMS, at_3)
-        # at the report's own epsilon the store is kept, and its bound fails
-        at_2 = EnvelopeRecords([row], 2.0)
+        with pytest.raises(DomainError, match=_REFUSED.format(0)):
+            VerificationReport(self.PARAMS, list(at_3))
+        # at the report's own params the store is kept, and its bound fails
+        at_2 = EnvelopeRecords([row], self.PARAMS)
         report = VerificationReport(self.PARAMS, at_2)
         assert report.records is at_2
         assert not report.all_bounds_hold and not report.records[0].bound_ok
+        failing = VerificationReport(
+            self.PARAMS, [EnvelopeRecord(CoprimePair(3, 5), self.PARAMS)]
+        )
+        assert failing == report and not failing.all_bounds_hold
 
     def test_rows_is_a_read_only_property(self, built):
         assert "rows" not in VerificationReport._fields

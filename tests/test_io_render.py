@@ -8,15 +8,12 @@ from collections.abc import Sequence
 import pytest
 
 from bezout_bezier import (
-    BezoutCoeffs,
     Center,
     CoprimePair,
     DomainError,
     EnvelopeParams,
     EnvelopeRecord,
-    Point2,
     RenderOptions,
-    Segment,
     VerificationReport,
     build_envelope,
     to_csv,
@@ -37,20 +34,8 @@ def reference_report():
 
 
 def degenerate_record():
-    pair = CoprimePair(1, 1)
-    coeffs = BezoutCoeffs(1, 0, pair)
-    return EnvelopeRecord(
-        pair=pair,
-        coeffs=coeffs,
-        flipped=coeffs,
-        segment=Segment(Point2(1.0, 0.0), Point2(1.0, 0.0)),
-        t_contact=0.5,
-        gap_alpha=0.1,
-        gap_beta=0.1,
-        deviation=0.1,
-        bound_ok=True,
-        degenerate=True,
-    )
+    # (1, 1): B(1, 1) = (1, 0) = B(1, 1) flipped, a segment of one point
+    return EnvelopeRecord(CoprimePair(1, 1), EnvelopeParams(Center(10, 3), 2.0))
 
 
 class TestToCsv:
@@ -148,22 +133,9 @@ class TestToSvg:
     def test_viewbox_covers_hand_built_records(self):
         # a record far from the center: B(3, 50) = (2, 33) and its flip
         # (17, 1) set the box, not the control points (10, 3) and (3, 10)
-        pair = CoprimePair(3, 50)
-        coeffs = BezoutCoeffs(2, 33, pair)
-        flipped = BezoutCoeffs(17, 1, CoprimePair(50, 3))
-        record = EnvelopeRecord(
-            pair=pair,
-            coeffs=coeffs,
-            flipped=flipped,
-            segment=Segment(Point2(2.0, 33.0), Point2(17.0, 1.0)),
-            t_contact=0.5,
-            gap_alpha=0.1,
-            gap_beta=0.1,
-            deviation=0.1,
-            bound_ok=True,
-            degenerate=False,
-        )
-        report = VerificationReport(EnvelopeParams(Center(10, 3), 2.0), [record])
+        params = EnvelopeParams(Center(10, 3), 2.0)
+        record = EnvelopeRecord(CoprimePair(3, 50), params)
+        report = VerificationReport(params, [record])
         root = ET.fromstring(to_svg(report))
         x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
         assert (x0, x0 + w) == pytest.approx((-0.85, 17.85))
@@ -357,8 +329,8 @@ class TestChunks:
         # the report reads its rows once, as it is built; the header
         # comes from that pass, so no row is read before the first chunk
         rows = CountingRows(report.rows)
-        eps = report.params.epsilon
-        counted = VerificationReport(report.params, EnvelopeRecords(rows, eps))
+        params = report.params
+        counted = VerificationReport(params, EnvelopeRecords(rows, params))
         assert rows.reads == 1
         chunks = svg_chunks(counted, self.OPTS)
         header = next(chunks)

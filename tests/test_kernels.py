@@ -12,6 +12,7 @@ from bezout_bezier import (
     CoprimePair,
     DomainError,
     EnvelopeParams,
+    EnvelopeRecord,
     HypothesisError,
     VerificationReport,
     _kernels_py,
@@ -205,6 +206,11 @@ def test_scan_tuples_match_single_call_ops():
             assert contact_parameter(pair) == t
             if params is not None:
                 assert endpoint_gaps(pair, params) == (gap_a, gap_b)
+        if params is not None:
+            report = build_envelope(params)
+            assert all(
+                rec == EnvelopeRecord(rec.pair, report.params) for rec in report.records
+            )
 
 
 _summary = attrgetter(

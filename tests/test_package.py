@@ -4,8 +4,11 @@ Every check runs in a fresh interpreter, since the test process has
 long since imported every submodule.
 """
 
+import ast
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +113,24 @@ def test_cli_loads_only_what_the_command_runs(argv, loads, tmp_path):
         f"print(code, [m in sys.modules for m in {LAZY!r}])"
     )
     assert out.splitlines()[-1] == f"0 {loads}"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    # each block runs as written; a bare expression that ends in a
+    # comment evaluates to the value whose repr the comment gives
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        lines = block.splitlines()
+        namespace = {}
+        for stmt in ast.parse(block).body:
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            if isinstance(stmt, ast.Expr) and comment:
+                code = compile(ast.Expression(stmt.value), "README.md", "eval")
+                assert repr(eval(code, namespace)) == comment, lines[stmt.lineno - 1]
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)

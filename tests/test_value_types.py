@@ -32,29 +32,16 @@ from bezout_bezier import (
 )
 
 
-def _record(deviation=0.75, bound_ok=True, degenerate=False):
-    pair = CoprimePair(3, 5)
-    return EnvelopeRecord(
-        pair,
-        BezoutCoeffs(2, 3, pair),
-        BezoutCoeffs(2, 1, CoprimePair(5, 3)),
-        Segment(Point2(2.0, 3.0), Point2(2.0, 1.0)),
-        0.5,
-        0.25,
-        0.125,
-        deviation,
-        bound_ok,
-        degenerate,
-    )
+_PARAMS = EnvelopeParams(Center(10, 3), 2.0)
+
+
+def _record(r=10, s=3, params=_PARAMS):
+    return EnvelopeRecord(CoprimePair(r, s), params)
 
 
 _RECORD_REPR = (
-    "EnvelopeRecord(pair=CoprimePair(r=3, s=5), "
-    "coeffs=BezoutCoeffs(a=2, b=3, pair=CoprimePair(r=3, s=5)), "
-    "flipped=BezoutCoeffs(a=2, b=1, pair=CoprimePair(r=5, s=3)), "
-    "segment=Segment(start=Point2(x=2.0, y=3.0), end=Point2(x=2.0, y=1.0)), "
-    "t_contact=0.5, gap_alpha=0.25, gap_beta=0.125, deviation=0.75, "
-    "bound_ok=True, degenerate=False)"
+    "EnvelopeRecord(pair=CoprimePair(r=10, s=3), "
+    "params=EnvelopeParams(center=Center(p=10, q=3), epsilon=2.0))"
 )
 _PARAMS_REPR = "EnvelopeParams(center=Center(p=10, q=3), epsilon=2.0)"
 
@@ -104,12 +91,10 @@ CASES = {
         _PARAMS_REPR,
     ),
     "EnvelopeRecord": (
-        (
-            "pair", "coeffs", "flipped", "segment", "t_contact",
-            "gap_alpha", "gap_beta", "deviation", "bound_ok", "degenerate",
-        ),
+        ("pair", "params"),
         _record,
-        _record(2.5, False),
+        # one pair at another epsilon: another record
+        _record(params=EnvelopeParams(Center(10, 3), 2.5)),
         _RECORD_REPR,
     ),
     "VerificationReport": (
@@ -191,11 +176,19 @@ def test_report_summary_comes_from_its_records():
     # arguments; a copy or an unpickled report folds its records again
     _, make, empty, _ = CASES["VerificationReport"]
     report = make()
+    # (10, 3) at epsilon 2: B(10, 3) = (7, 2), B(3, 10) = (1, 3)
     for a in (report, pickle.loads(pickle.dumps(report)), copy.copy(report)):
-        assert _summary(a) == (1, True, 0.75, 0.25, (2, 3))
+        assert _summary(a) == (
+            1, True, pytest.approx(0.0862, abs=1e-4),
+            pytest.approx(0.0958, abs=1e-4), (7, 3),
+        )
     assert _summary(empty) == (0, True, 0.0, 0.0, (0, 0))
-    failing = VerificationReport(report.params, (_record(), _record(2.5, False)))
-    assert _summary(failing) == (2, False, 2.5, 0.25, (2, 3))
+    # (3, 5) lies 7.3 from (10, 3): its deviation 2.28 breaks epsilon 2
+    failing = VerificationReport(report.params, (_record(), _record(3, 5)))
+    assert _summary(failing) == (
+        2, False, pytest.approx(2.2838, abs=1e-4), pytest.approx(4.3311, abs=1e-4),
+        (7, 3),
+    )
 
 
 def test_render_options_defaults():
@@ -386,20 +379,35 @@ _HUGE_TEXT = "<16610-bit integer>"
             id="huge int Point2 x",
         ),
         pytest.param(
-            lambda: _record(bound_ok=_HUGE), DomainError,
-            f"record for (3, 5): bound_ok must be a bool (got {_HUGE_TEXT})",
-            id="huge int EnvelopeRecord bound_ok",
+            lambda: EnvelopeParams((10, 3), 2.0), DomainError,
+            "EnvelopeParams needs center of type Center (got center = (10, 3))",
+            id="tuple EnvelopeParams center",
         ),
         pytest.param(
-            lambda: _record(deviation="0.1"), DomainError,
-            "record for (3, 5): deviation must be a number (got '0.1')",
-            id="str EnvelopeRecord deviation",
+            lambda: BezoutCoeffs(2, 3, (3, 5)), DomainError,
+            "BezoutCoeffs needs pair of type CoprimePair (got pair = (3, 5))",
+            id="tuple BezoutCoeffs pair",
         ),
         pytest.param(
-            lambda: _record(degenerate=_HUGE), DomainError,
-            f"record for (3, 5): degenerate = {_HUGE_TEXT} contradicts the pair, "
-            "which gives False",
-            id="huge int EnvelopeRecord degenerate",
+            lambda: EnvelopeRecord((10, 3), _PARAMS), DomainError,
+            "EnvelopeRecord needs pair of type CoprimePair (got pair = (10, 3))",
+            id="tuple EnvelopeRecord pair",
+        ),
+        pytest.param(
+            lambda: EnvelopeRecord(CoprimePair(10, 3), _HUGE), DomainError,
+            "EnvelopeRecord needs params of type EnvelopeParams "
+            f"(got params = {_HUGE_TEXT})",
+            id="huge int EnvelopeRecord params",
+        ),
+        pytest.param(
+            lambda: RenderOptions(show_curve="no"), DomainError,
+            "RenderOptions needs show_curve of type bool (got show_curve = 'no')",
+            id="str RenderOptions show_curve",
+        ),
+        pytest.param(
+            lambda: RenderOptions(show_controls=1), DomainError,
+            "RenderOptions needs show_controls of type bool (got show_controls = 1)",
+            id="int RenderOptions show_controls",
         ),
         pytest.param(
             lambda: Point2(0.0, 10**400), DomainError,
