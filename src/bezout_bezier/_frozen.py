@@ -85,7 +85,7 @@ def chunked(rows):
 class Frozen:
     """An immutable record whose fields are its ``_fields``, in order.
 
-    A subclass lists its fields (two or more) in ``__slots__``, and its
+    A subclass lists its fields in ``__slots__``, and its
     ``__init__`` takes them in that order and stores them with one
     ``setfields`` call; one whose slots are not its fields (a slot that
     its fields are read from, or one derived from them) names them, in
@@ -102,8 +102,10 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
-        cls._astuple = attrgetter(*cls._fields)
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        get = attrgetter(*fields)
+        # for one name attrgetter returns the bare value, not a 1-tuple
+        cls._astuple = get if len(fields) > 1 else staticmethod(lambda o: (get(o),))
         cls._setters = [getattr(cls, name).__set__ for name in cls.__slots__]
         cls.__match_args__ = cls._fields
 

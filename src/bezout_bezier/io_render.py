@@ -143,13 +143,11 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
     num = "%d" if max(x_max, y_max) < 10**9 else "%.9g"
     line = (
         f'<line x1="{num}" y1="-{num}" x2="{num}" y2="-{num}" '
-        f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"%s/>\n'
+        f'stroke="{SEGMENT_STROKE}" stroke-width="{_coord(stroke)}"/>\n'
     )
-    # a collapsed segment, only (1, 1), still draws: round caps make a dot
     for chunk in chunked(report.rows):
         yield "".join([
-            line % (a, b, af, bf, ' stroke-linecap="round"' if r == s else "")
-            for r, s, a, b, af, bf, _, _, _, _ in chunk
+            line % (a, b, af, bf) for _, _, a, b, af, bf, _, _, _, _ in chunk
         ])
     trailer = []
     if opts.show_controls:

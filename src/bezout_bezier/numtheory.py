@@ -119,6 +119,7 @@ def bezout_coefficients(pair: CoprimePair) -> BezoutCoeffs:
     Read from the pair's kernel row (the pair as its own center), which
     holds the one copy of the normalization rule.
     """
+    require_instance("bezout_coefficients", "pair", pair, CoprimePair)
     a, b = kernels.pair_row(pair.r, pair.s, pair.r, pair.s)[2:4]
     return BezoutCoeffs(a, b, pair)
 
@@ -154,6 +155,7 @@ def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     C speed; a pair that fails raises DomainError naming it.  `radius`
     is an int or a float, not a bool: anything else raises DomainError.
     """
+    require_instance("coprime_neighbors", "center", center, Center)
     if not isinstance(radius, (int, float)) or isinstance(radius, bool):
         raise DomainError("radius must be a number")
     try:

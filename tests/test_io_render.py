@@ -12,14 +12,13 @@ from bezout_bezier import (
     CoprimePair,
     DomainError,
     EnvelopeParams,
-    EnvelopeRecord,
     RenderOptions,
     VerificationReport,
     build_envelope,
     to_csv,
     to_svg,
 )
-from bezout_bezier.envelope import EnvelopeRecords
+from bezout_bezier import _kernels_py
 from bezout_bezier.io_render import CHUNK_ROWS, CSV_HEADER, csv_chunks, svg_chunks
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -31,11 +30,6 @@ def empty_report(p=300, q=21, eps=1.5):
 
 def reference_report():
     return build_envelope(EnvelopeParams(Center(300, 21), 2.0))
-
-
-def degenerate_record():
-    # (1, 1): B(1, 1) = (1, 0) = B(1, 1) flipped, a segment of one point
-    return EnvelopeRecord(CoprimePair(1, 1), EnvelopeParams(Center(10, 3), 2.0))
 
 
 class TestToCsv:
@@ -130,12 +124,14 @@ class TestToSvg:
         raw_w = max(p[0] for p in pts) - min(p[0] for p in pts)
         assert w == pytest.approx(1.1 * raw_w, rel=1e-6)
 
-    def test_viewbox_covers_hand_built_records(self):
-        # a record far from the center: B(3, 50) = (2, 33) and its flip
-        # (17, 1) set the box, not the control points (10, 3) and (3, 10)
-        params = EnvelopeParams(Center(10, 3), 2.0)
-        record = EnvelopeRecord(CoprimePair(3, 50), params)
-        report = VerificationReport(params, [record])
+    def test_viewbox_covers_hand_built_records(self, monkeypatch):
+        # a scan that yields one row far from the center: B(3, 50) = (2, 33)
+        # and its flip (17, 1) set the box, not the control points (10, 3)
+        # and (3, 10)
+        row = _kernels_py.pair_row(10, 3, 3, 50)
+        monkeypatch.setattr(_kernels_py, "envelope_scan", lambda p, q, radius: [row])
+        report = VerificationReport(EnvelopeParams(Center(10, 3), 2.0))
+        assert report.records[0].pair == CoprimePair(3, 50)
         root = ET.fromstring(to_svg(report))
         x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
         assert (x0, x0 + w) == pytest.approx((-0.85, 17.85))
@@ -151,15 +147,6 @@ class TestToSvg:
         circles = root.findall(f"{SVG_NS}circle")
         by_cx = {float(c.attrib["cx"]): float(c.attrib["cy"]) for c in circles}
         assert by_cx[21.0] < by_cx[0.0]  # (21, 300) drawn above (0, 0)
-
-    def test_degenerate_record_renders_as_dot(self):
-        params = EnvelopeParams(Center(10, 3), 2.0)
-        report = VerificationReport(params, [degenerate_record()])
-        root = ET.fromstring(to_svg(report))
-        (line,) = root.findall(f"{SVG_NS}line")
-        assert line.attrib["x1"] == line.attrib["x2"]
-        assert line.attrib["y1"] == line.attrib["y2"]
-        assert line.attrib["stroke-linecap"] == "round"
 
     def test_determinism(self):
         report = build_envelope(EnvelopeParams(Center(40, 11), 3.0))
@@ -200,7 +187,8 @@ class TestRenderOptions:
 
 
 class TestWriterBytes:
-    """Built reports and hand-built record lists write the same bytes.
+    """Reports from build_envelope and from the constructor, called by
+    hand, write the same bytes.
 
     The digests were recorded before the writers formatted straight from
     the kernel rows, when every record was validated and written field
@@ -246,7 +234,7 @@ class TestWriterBytes:
     def test_built_and_hand_built_match_digests(self, case):
         p, q, eps = case
         report = build_envelope(EnvelopeParams(Center(p, q), eps))
-        hand_built = VerificationReport(report.params, list(report.records))
+        hand_built = VerificationReport(report.params)
         csv_text = to_csv(report)
         svg_text = to_svg(report, self.OPTS)
         assert to_csv(hand_built) == csv_text
@@ -312,25 +300,25 @@ class TestChunks:
         assert max(sizes) == CHUNK_ROWS
         assert sum(sizes) == report.neighbor_count
 
-    def test_svg_header_is_decided_from_every_row(self, report):
+    def test_svg_header_is_decided_from_every_row(self, report, monkeypatch):
         # The box and stroke width come from all rows, not the first
-        # chunk: reversing the records puts other rows first and must
-        # not change the header or any line.
-        reversed_report = VerificationReport(
-            report.params, list(reversed(report.records))
-        )
+        # chunk: a scan that yields the rows reversed puts other rows
+        # first and must not change the header or any line.
+        rows = report.rows[::-1]
+        monkeypatch.setattr(_kernels_py, "envelope_scan", lambda p, q, radius: rows)
+        reversed_report = VerificationReport(report.params)
         header, *chunks = svg_chunks(report, self.OPTS)
         header_rev, *chunks_rev = svg_chunks(reversed_report, self.OPTS)
         assert header_rev == header
         lines = "".join(chunks).splitlines()
         assert sorted("".join(chunks_rev).splitlines()) == sorted(lines)
 
-    def test_svg_header_reads_no_row(self, report):
+    def test_svg_header_reads_no_row(self, report, monkeypatch):
         # the report reads its rows once, as it is built; the header
         # comes from that pass, so no row is read before the first chunk
         rows = CountingRows(report.rows)
-        params = report.params
-        counted = VerificationReport(params, EnvelopeRecords(rows, params))
+        monkeypatch.setattr(_kernels_py, "envelope_scan", lambda p, q, radius: rows)
+        counted = VerificationReport(report.params)
         assert rows.reads == 1
         chunks = svg_chunks(counted, self.OPTS)
         header = next(chunks)

@@ -14,7 +14,6 @@ from bezout_bezier import (
     EnvelopeParams,
     EnvelopeRecord,
     HypothesisError,
-    VerificationReport,
     _kernels_py,
     build_envelope,
     contact_parameter,
@@ -234,6 +233,3 @@ def test_report_summary_is_a_fold_over_the_records(p, q, radius):
             for columns in ((2, 4), (3, 5))
         ),
     )
-    # the order of the records does not matter to the summary
-    reversed_report = VerificationReport(report.params, list(reversed(records)))
-    assert _summary(reversed_report) == _summary(report)

@@ -28,6 +28,12 @@ from bezout_bezier import (
     Segment,
     SweepResult,
     VerificationReport,
+    _kernels_py,
+    bezout_coefficients,
+    bezout_segment,
+    contact_parameter,
+    coprime_neighbors,
+    endpoint_gaps,
     gcd,
 )
 
@@ -98,10 +104,10 @@ CASES = {
         _RECORD_REPR,
     ),
     "VerificationReport": (
-        ("params", "records"),
-        lambda: VerificationReport(EnvelopeParams(Center(10, 3), 2.0), (_record(),)),
-        VerificationReport(EnvelopeParams(Center(10, 3), 2.0), ()),
-        f"VerificationReport(params={_PARAMS_REPR}, records=<1 envelope records>)",
+        ("params",),
+        lambda: VerificationReport(EnvelopeParams(Center(10, 3), 2.0)),
+        VerificationReport(EnvelopeParams(Center(10, 3), 2.5)),
+        f"VerificationReport(params={_PARAMS_REPR})",
     ),
     "SweepResult": (
         ("center", "epsilon", "report", "skip_reason"),
@@ -171,20 +177,25 @@ _summary = attrgetter(
 )
 
 
-def test_report_summary_comes_from_its_records():
-    # the summary is the fold over the records, not constructor
-    # arguments; a copy or an unpickled report folds its records again
-    _, make, empty, _ = CASES["VerificationReport"]
+def test_report_summary_comes_from_its_records(monkeypatch):
+    # the summary is the fold over the scanned rows, not constructor
+    # arguments; a copy or an unpickled report scans and folds again
+    _, make, _, _ = CASES["VerificationReport"]
     report = make()
-    # (10, 3) at epsilon 2: B(10, 3) = (7, 2), B(3, 10) = (1, 3)
+    # (10, 3) and (11, 3) at epsilon 2: B(10, 3) = (7, 2), B(3, 10) = (1, 3),
+    # B(11, 3) = (4, 1) and B(3, 11) = (2, 7)
     for a in (report, pickle.loads(pickle.dumps(report)), copy.copy(report)):
         assert _summary(a) == (
-            1, True, pytest.approx(0.0862, abs=1e-4),
-            pytest.approx(0.0958, abs=1e-4), (7, 3),
+            2, True, pytest.approx(0.4105, abs=1e-4),
+            pytest.approx(0.6212, abs=1e-4), (7, 7),
         )
+    empty = VerificationReport(EnvelopeParams(Center(300, 21), 1.5))
     assert _summary(empty) == (0, True, 0.0, 0.0, (0, 0))
-    # (3, 5) lies 7.3 from (10, 3): its deviation 2.28 breaks epsilon 2
-    failing = VerificationReport(report.params, (_record(), _record(3, 5)))
+    # (3, 5) lies 7.3 from (10, 3), outside every disk the scan reads: a
+    # scan that yields it anyway breaks epsilon 2 with deviation 2.28
+    rows = [_kernels_py.pair_row(10, 3, 10, 3), _kernels_py.pair_row(10, 3, 3, 5)]
+    monkeypatch.setattr(_kernels_py, "envelope_scan", lambda p, q, radius: rows)
+    failing = VerificationReport(report.params)
     assert _summary(failing) == (
         2, False, pytest.approx(2.2838, abs=1e-4), pytest.approx(4.3311, abs=1e-4),
         (7, 3),
@@ -413,6 +424,49 @@ _HUGE_TEXT = "<16610-bit integer>"
             lambda: Point2(0.0, 10**400), DomainError,
             f"coordinates must be finite (got 0.0, {10**400})",
             id="int beyond the floats Point2 y",
+        ),
+        pytest.param(
+            lambda: VerificationReport((10, 3)), DomainError,
+            "VerificationReport needs params of type EnvelopeParams "
+            "(got params = (10, 3))",
+            id="tuple VerificationReport params",
+        ),
+        pytest.param(
+            lambda: VerificationReport(_PARAMS, []), TypeError,
+            "VerificationReport.__init__() takes 2 positional arguments "
+            "but 3 were given",
+            id="VerificationReport records",
+        ),
+        pytest.param(
+            lambda: coprime_neighbors((10, 3), 2.0), DomainError,
+            "coprime_neighbors needs center of type Center (got center = (10, 3))",
+            id="tuple coprime_neighbors center",
+        ),
+        pytest.param(
+            lambda: endpoint_gaps((10, 3), _PARAMS), DomainError,
+            "endpoint_gaps needs pair of type CoprimePair (got pair = (10, 3))",
+            id="tuple endpoint_gaps pair",
+        ),
+        pytest.param(
+            lambda: endpoint_gaps(CoprimePair(10, 3), (10, 3, 2.0)), DomainError,
+            "endpoint_gaps needs params of type EnvelopeParams "
+            "(got params = (10, 3, 2.0))",
+            id="tuple endpoint_gaps params",
+        ),
+        pytest.param(
+            lambda: bezout_coefficients((3, 5)), DomainError,
+            "bezout_coefficients needs pair of type CoprimePair (got pair = (3, 5))",
+            id="tuple bezout_coefficients pair",
+        ),
+        pytest.param(
+            lambda: contact_parameter((3, 5)), DomainError,
+            "contact_parameter needs pair of type CoprimePair (got pair = (3, 5))",
+            id="tuple contact_parameter pair",
+        ),
+        pytest.param(
+            lambda: bezout_segment((3, 5)), DomainError,
+            "bezout_segment needs pair of type CoprimePair (got pair = (3, 5))",
+            id="tuple bezout_segment pair",
         ),
     ],
 )
