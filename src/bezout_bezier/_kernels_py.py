@@ -19,11 +19,18 @@ scan calls it once per pair with the inverse its batch already holds,
 and ``pair_row``, which the single-pair functions of ``envelope`` and
 ``numtheory.bezout_coefficients`` read, calls it with one
 ``pow(s, -1, r)``.  The integers that enter the float formulas are
-converted with ``float()`` first: every one is below 2**53, so the
-conversion is exact, and all-float operands let CPython specialise the
-arithmetic.  Callers validate inputs (positive, coprime where
-required, within the supported integer range, a nonnegative radius),
-so the kernels do not.
+converted with ``float()`` first, since all-float operands let CPython
+specialise the arithmetic.  In the supported range p, q, a, b, a_flip
+and b_flip are at most 2**31, so their conversions are exact.  Those of
+M = a*r + b*s and D = r*r + s*s are not: M <= D <= 2**63, and above
+2**53 ``float()`` rounds each to nearest (at (r, s) = (2**31 - 1,
+2**30 + 7), M has 61 bits and D 63).  The float t = 1 - M/D is still
+within 2**-51 of the exact one: the two conversions and the division
+each err by a factor of at most 1 + 2**-53 on a quotient below 1, and
+the subtraction by at most 2**-54, about 3.5 * 2**-53 in all.  The
+error of the gaps and of the deviation is not bounded here.  Callers
+validate inputs (positive, coprime where required, within the supported
+integer range, a nonnegative radius), so the kernels do not.
 """
 
 from math import floor, gcd, isqrt, sqrt

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from operator import eq
 
 from . import _kernels_py as kernels
 from ._frozen import Frozen, require_instance, setfields, show
@@ -123,19 +122,27 @@ _set_row, _set_params = EnvelopeRecord._setters
 
 
 class EnvelopeRecords(Frozen, Sequence):
-    """Immutable sequence of EnvelopeRecord over verified kernel rows.
+    """Immutable sequence of the EnvelopeRecord of every coprime
+    neighbor within radius epsilon - 1 of params.center.
 
-    The rows are kernel rows for params.center.  A record, one object
-    over its row and the params, is built only when it is accessed.
-    Compares equal to any sequence of equal records.  Its fields are the
-    rows and the params: it pickles and copies as those two.
+    EnvelopeRecords(params) runs ``_kernels_py.envelope_scan`` and keeps
+    its rows; a record, one object over its row and the params, is
+    built only when it is accessed, and a slice is a tuple of records.
+    Its one field is the params: it compares, hashes, prints, pickles
+    and copies as them, so == and hash take O(1), and unpickling or
+    copying a store scans again.  Params that are not EnvelopeParams
+    raise DomainError naming the field.
     """
 
-    __slots__ = ("_rows", "params")
+    __slots__ = ("params", "_rows")
+    _fields = ("params",)
     params: EnvelopeParams
 
-    def __init__(self, rows: Sequence[tuple], params: EnvelopeParams):
-        setfields(self, rows, params)
+    def __init__(self, params: EnvelopeParams):
+        require_instance("EnvelopeRecords", "params", params, EnvelopeParams)
+        center = params.center
+        rows = kernels.envelope_scan(center.p, center.q, params.radius)
+        setfields(self, params, rows)
 
     def _record(self, row: tuple) -> EnvelopeRecord:
         # The row is the kernel's: the constructor would only compute it again.
@@ -149,37 +156,25 @@ class EnvelopeRecords(Frozen, Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return EnvelopeRecords(self._rows[index], self.params)
+            return tuple(map(self._record, self._rows[index]))
         return self._record(self._rows[index])
 
     def __iter__(self):
         return map(self._record, self._rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __hash__(self) -> int:
-        # the hash of the tuple of the same records, which compares equal
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} envelope records>"
-
 
 class VerificationReport(Frozen):
     """One (center, epsilon) run: its params and the records of its scan.
 
-    VerificationReport(params) scans every coprime neighbor within
-    radius epsilon - 1 with ``_kernels_py.envelope_scan``, keeps the
-    kernel rows as one EnvelopeRecords, and verifies them in one pass
-    that also derives the summary: neighbor_count, all_bounds_hold
-    (every deviation < epsilon), max_deviation, max_endpoint_gap and
-    extent, the largest (x, y) of any segment endpoint ((0, 0) for no
-    records).  A row that fails raises DomainError naming its pair, and
-    params that are not EnvelopeParams raise DomainError.  So every
-    record in a report is a neighbor the kernel measured for its params.
+    VerificationReport(params) holds EnvelopeRecords(params), the
+    records of every coprime neighbor within radius epsilon - 1, and
+    verifies their kernel rows in one pass that also derives the
+    summary: neighbor_count, all_bounds_hold (every deviation <
+    epsilon), max_deviation, max_endpoint_gap and extent, the largest
+    (x, y) of any segment endpoint ((0, 0) for no records).  A row that
+    fails raises DomainError naming its pair, and params that are not
+    EnvelopeParams raise DomainError.  So every record in a report is a
+    neighbor the kernel measured for its params.
 
     Its one field is the params: it compares, hashes, prints, pickles
     and copies as them.  The records, rows and summary are read-only.
@@ -194,9 +189,8 @@ class VerificationReport(Frozen):
 
     def __init__(self, params: EnvelopeParams):
         require_instance("VerificationReport", "params", params, EnvelopeParams)
-        center, eps = params.center, params.epsilon
-        rows = kernels.envelope_scan(center.p, center.q, params.radius)
-        setfields(self, params, EnvelopeRecords(rows, params), _fold(rows, eps))
+        records = EnvelopeRecords(params)
+        setfields(self, params, records, _fold(records._rows, params.epsilon))
 
     # The kernel rows of the records: the one store that the fold and every
     # writer read.

@@ -6,6 +6,7 @@ were computed with these and frozen.
 """
 
 import math
+from fractions import Fraction
 
 
 def gcd_by_scan(x, y):
@@ -102,6 +103,19 @@ def envelope_scan_by_pairs(p, q, radius):
             dev = math.sqrt(dx * dx + dy * dy)
             out.append((r, s, a, b, af, bf, t, gap_a, gap_b, dev))
     return out
+
+
+def contact_parameter_exact(r, s, a, b):
+    """The contact parameter t = 1 - (a*r + b*s) / (r*r + s*s) of the
+    pair (r, s), as an exact Fraction.
+
+    (a, b) must be the normalized Bezout coefficients of (r, s), checked
+    here by their identity a*s - b*r == 1 and box 0 < a <= r, 0 <= b < s,
+    which fix them uniquely; no inverse is computed.
+    """
+    if a * s - b * r != 1 or not (0 < a <= r and 0 <= b < s):
+        raise ValueError(f"({a}, {b}) are not the coefficients of ({r}, {s})")
+    return 1 - Fraction(a * r + b * s, r * r + s * s)
 
 
 def coprime_pairs_upto(limit):

@@ -224,7 +224,7 @@ class TestBuildEnvelope:
         # radius 0.5 around the non-coprime (300, 21) holds no pair
         report = build_envelope(EnvelopeParams(Center(300, 21), 1.5))
         assert report.neighbor_count == 0
-        assert report.records == []
+        assert list(report.records) == [] and report.rows == []
         assert report.all_bounds_hold
         assert report.max_deviation == 0.0
         assert report.max_endpoint_gap == 0.0
@@ -371,40 +371,56 @@ class TestBulkVerification:
 
 
 class TestEnvelopeRecords:
-    """report.records builds records on access from the verified rows."""
+    """report.records builds records on access from the rows of its own
+    scan; a store is its params."""
+
+    PARAMS = EnvelopeParams(Center(50, 29), 5.0)
 
     def test_sequence_protocol(self):
-        report = build_envelope(EnvelopeParams(Center(50, 29), 5.0))
+        report = build_envelope(self.PARAMS)
         records = report.records
         listed = list(records)
         assert len(records) == len(listed) == report.neighbor_count > 3
         assert records[-1] == listed[-1]
-        assert records[1:3] == listed[1:3]
-        assert records[::-2] == listed[::-2]
-        assert records == listed and listed == records
-        assert records != listed[:-1]
-        assert records[1:] != listed[:-1]
+        assert records[1:3] == tuple(listed[1:3])
+        assert records[::-2] == tuple(listed[::-2])
+        assert list(reversed(records)) == listed[::-1]
+        assert records.index(listed[2]) == 2 and listed[2] in records
         with pytest.raises(IndexError):
             records[len(listed)]
         with pytest.raises(TypeError):
             records[0] = listed[0]
 
-    def test_stores_of_a_list_and_a_tuple_are_equal(self):
-        params = EnvelopeParams(Center(10, 3), 2.0)
-        built = build_envelope(params)
-        rows = built.rows
-        as_list = EnvelopeRecords(list(rows), params)
-        as_tuple = EnvelopeRecords(tuple(rows), params)
-        assert as_list == as_tuple and as_tuple == as_list
-        assert hash(as_list) == hash(as_tuple)
-        assert as_list != EnvelopeRecords(tuple(rows[:-1]), params)
-        assert as_list != EnvelopeRecords(tuple(reversed(rows)), params)
+    @pytest.mark.parametrize(
+        "i, j, step", [(1, 3, None), (None, None, -2), (-4, None, None), (3, 3, None)]
+    )
+    def test_a_slice_is_a_tuple_of_records(self, i, j, step):
+        report = build_envelope(self.PARAMS)
+        records = report.records
+        part = records[i:j:step]
+        assert type(part) is tuple
+        assert part == tuple(records)[i:j:step]
+        assert [rec._row for rec in part] == report.rows[i:j:step]
 
-    def test_unequal_to_a_non_sequence_and_printed_by_length(self):
-        records = build_envelope(EnvelopeParams(Center(50, 29), 5.0)).records
+    def test_unequal_to_any_sequence_and_printed_as_its_params(self):
+        records = build_envelope(self.PARAMS).records
         assert (records == 5) is False
         assert (records != 5) is True
-        assert repr(records) == f"<{len(records)} envelope records>"
+        listed = list(records)
+        assert records != listed and listed != records
+        assert records != tuple(listed)
+        assert repr(records) == f"EnvelopeRecords(params={self.PARAMS!r})"
+
+    def test_no_store_holds_invented_rows(self):
+        # a store's class, reached through a report, takes no rows
+        params = EnvelopeParams(Center(10, 3), 2.0)
+        invented = [(10, 3, 7, 2, 1, 3, 0.5, 0.0, 0.0, 0.0)]
+        with pytest.raises(TypeError):
+            type(build_envelope(params).records)(invented, params)
+        # its one constructor scans: the record holds the kernel's deviation
+        rec = EnvelopeRecords(params)[0]
+        assert rec == EnvelopeRecord(CoprimePair(10, 3), params)
+        assert rec.deviation == pytest.approx(0.0862, abs=1e-4)
 
     def test_records_equal_validated_construction(self):
         report = build_envelope(EnvelopeParams(Center(40, 17), 4.0))
@@ -444,7 +460,40 @@ class TestEnvelopeRecords:
         same = VerificationReport(report.params)
         assert report == same and report.records == same.records
         assert hash(report) == hash(same) == hash((report.params,))
-        assert hash(report.records) == hash(tuple(report.records))
+        assert hash(report.records) == hash(same.records) == hash((report.params,))
+
+    def test_compare_and_hash_scan_nothing(self, monkeypatch):
+        scans, records_built = [], []
+        scan, record = envelope.kernels.envelope_scan, EnvelopeRecords._record
+
+        def counting_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        def counting_record(self, row):
+            records_built.append(row)
+            return record(self, row)
+
+        monkeypatch.setattr(envelope.kernels, "envelope_scan", counting_scan)
+        monkeypatch.setattr(EnvelopeRecords, "_record", counting_record)
+        a, b = EnvelopeRecords(self.PARAMS), EnvelopeRecords(self.PARAMS)
+        other = EnvelopeRecords(EnvelopeParams(Center(50, 29), 4.0))
+        assert len(scans) == 3 and len(a) > 3
+        assert a == b and not a != b and a != other
+        assert hash(a) == hash(b) != hash(other)
+        assert len(scans) == 3 and records_built == []
+
+    def test_pickles_and_copies_as_its_params(self):
+        records = build_envelope(self.PARAMS).records
+        copies = [
+            pickle.loads(pickle.dumps(records, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        copies += [copy.copy(records), copy.deepcopy(records)]
+        for copied in copies:
+            assert type(copied) is EnvelopeRecords and copied == records
+            assert copied._rows is not records._rows
+            assert repr(copied._rows) == repr(records._rows)
 
 
 class TestReportBoundary:
@@ -491,11 +540,10 @@ class TestReportBoundary:
         rec = EnvelopeRecord(CoprimePair(3, 5), self.PARAMS)
         with pytest.raises(TypeError):
             VerificationReport(self.PARAMS, [rec] * 2)
-        # a store of invented rows, reached through a report
-        invented = [(10, 3, 7, 2, 1, 3, 0.5, 0.0, 0.0, 0.0)]
-        store = type(built.records)(invented, self.PARAMS)
+        # nor a store, not even one of the report's own scan (and no store
+        # of invented rows can be built: test_no_store_holds_invented_rows)
         with pytest.raises(TypeError):
-            VerificationReport(self.PARAMS, store)
+            VerificationReport(self.PARAMS, built.records)
         # the kernel still measures the FAIL, per record: deviation 2.28
         assert rec.deviation == pytest.approx(2.2838, abs=1e-4)
         assert not rec.bound_ok

@@ -19,7 +19,11 @@ from bezout_bezier import (
     contact_parameter,
     endpoint_gaps,
 )
-from oracles import envelope_scan_by_pairs, neighbors_by_bbox_scan
+from oracles import (
+    contact_parameter_exact,
+    envelope_scan_by_pairs,
+    neighbors_by_bbox_scan,
+)
 
 CASES = [
     (300, 21, 1.0),
@@ -116,7 +120,7 @@ def test_envelope_scan_range_top():
         check_scan_row(row)
         r, s, a, b, af, bf, t, gap_a, gap_b, dev = row
         t = Fraction(t)
-        assert abs(t - (1 - Fraction(a * r + b * s, r * r + s * s))) <= 2.0**-52
+        assert abs(t - contact_parameter_exact(r, s, a, b)) <= 2.0**-52
         u = 1 - t
         exact_gap_a = math.sqrt((a - u * p) ** 2 + (b - u * q) ** 2)
         exact_gap_b = math.sqrt((af - t * q) ** 2 + (bf - t * p) ** 2)
@@ -125,6 +129,17 @@ def test_envelope_scan_range_top():
         assert abs(gap_a - exact_gap_a) <= tol
         assert abs(gap_b - exact_gap_b) <= tol
         assert abs(dev - math.sqrt(dx * dx + dy * dy)) <= tol
+
+
+def test_contact_parameter_error_at_the_range_top():
+    # D = r*r + s*s has 63 bits here and M = a*r + b*s up to as many, so
+    # float() rounds them; t still lies within the kernel docstring's 2**-51
+    p, q, radius = 2**31 - 201, 2**30 + 5, 19.0
+    rows = _kernels_py.envelope_scan(p, q, radius)
+    assert len(rows) == 689
+    assert any(float(r * r + s * s) != r * r + s * s for r, s, *_ in rows)
+    for r, s, a, b, _af, _bf, t, *_ in rows:
+        assert abs(Fraction(t) - contact_parameter_exact(r, s, a, b)) <= 2.0**-51
 
 
 def test_bezout_box_and_identity_random():

@@ -36,6 +36,7 @@ from bezout_bezier import (
     endpoint_gaps,
     gcd,
 )
+from bezout_bezier.envelope import EnvelopeRecords
 
 
 _PARAMS = EnvelopeParams(Center(10, 3), 2.0)
@@ -102,6 +103,12 @@ CASES = {
         # one pair at another epsilon: another record
         _record(params=EnvelopeParams(Center(10, 3), 2.5)),
         _RECORD_REPR,
+    ),
+    "EnvelopeRecords": (
+        ("params",),
+        lambda: EnvelopeRecords(EnvelopeParams(Center(10, 3), 2.0)),
+        EnvelopeRecords(EnvelopeParams(Center(10, 3), 2.5)),
+        f"EnvelopeRecords(params={_PARAMS_REPR})",
     ),
     "VerificationReport": (
         ("params",),
@@ -436,6 +443,12 @@ _HUGE_TEXT = "<16610-bit integer>"
             "VerificationReport.__init__() takes 2 positional arguments "
             "but 3 were given",
             id="VerificationReport records",
+        ),
+        pytest.param(
+            lambda: EnvelopeRecords((10, 3, 2.0)), DomainError,
+            "EnvelopeRecords needs params of type EnvelopeParams "
+            "(got params = (10, 3, 2.0))",
+            id="tuple EnvelopeRecords params",
         ),
         pytest.param(
             lambda: coprime_neighbors((10, 3), 2.0), DomainError,
