@@ -2,7 +2,8 @@
 
 Both scans walk the disk row by row: ``_disk_rows`` gathers the coprime
 s of each row r with one comprehension.  Disk membership is one integer
-rule, ``disk_limit``, exact at every radius; ``_disk_rows`` solves it
+rule, ``disk_limit``: the squared distance is exact, the limit is the
+floor of the rounded float radius * radius; ``_disk_rows`` solves it
 for each row's bounds, and ``envelope.endpoint_gaps`` tests one pair
 with it.  ``envelope_scan`` then needs s**-1 mod r for every s of the
 row (the normalized coefficient a); ``_inverses_mod`` gets them all
@@ -41,9 +42,17 @@ def disk_limit(radius):
     the lattice point (p, q) iff (r - p)**2 + (s - q)**2 <= disk_limit(radius).
 
     The limit is floor(radius * radius), or -1 (no point) for a negative
-    radius.  The squared distance is an integer, so it is at most
-    radius * radius exactly when it is at most the floor: the rule is
-    exact at every radius, with no rounding of the distance.
+    radius.  The squared distance is an exact integer, but for a float
+    radius the product radius * radius is rounded to nearest, so the
+    limit may differ from the exact radius**2 by up to half an ulp (a
+    relative 2**-53).  A point whose squared distance lies that close to
+    radius**2 can fall on the wrong side.  Below 2**53 every integer is
+    a float, so the rounding can only carry radius**2 up onto an integer:
+    at radius = sqrt(41), whose exact square is below 41, the points at
+    distance sqrt(41) are kept.  Above 2**53 it can also carry an
+    integer radius**2 down: at radius = 300000001.0 the limit is
+    radius**2 - 1, and a point at exactly the radius is left out.  An
+    int radius gives the exact limit.
     """
     return floor(radius * radius) if radius >= 0 else -1
 
@@ -90,7 +99,8 @@ def coprime_pairs_in_disk(p, q, radius):
     """All positive coprime (r, s) with ||(r,s)-(p,q)|| <= radius.
 
     Lexicographic (r, s) order; disk membership is ``disk_limit``'s
-    integer rule, as in ``envelope_scan``.
+    integer rule, as in ``envelope_scan``, so a point within half an ulp
+    of the circle can fall on either side of it.
     """
     return [(r, s) for r, row in _disk_rows(p, q, radius) for s in row]
 

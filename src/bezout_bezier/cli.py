@@ -309,7 +309,7 @@ def _audit_row(p: int, q: int, eps: float) -> str:
         return _skip_row(p, q, eps, str(exc))
     result = sweep_one(center, eps)
     if result.report is None:
-        return _skip_row(p, q, eps, result.skip_reason or "")
+        return _skip_row(p, q, eps, result.skip_reason)
     report = result.report
     slack = eps - report.max_deviation
     return (

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 
 from . import _kernels_py as kernels
-from ._frozen import Frozen, require_instance, setfields, show
+from ._frozen import Frozen, require_instance, require_number, setfields, show
 from .errors import DomainError, HypothesisError
 from .geometry import Point2, Segment
 from .numtheory import (
@@ -31,7 +31,9 @@ class EnvelopeParams(Frozen):
 
     Requires p > 3, 0 <= q < p and 1 < epsilon <= ||(p, q)|| / 2, and
     p + epsilon <= 2**31 so that every neighbor stays in the supported
-    integer range (q < p makes the bound on q follow).
+    integer range (q < p makes the bound on q follow).  epsilon must be
+    an int or a float, not a bool (``require_number``); a nan or an
+    infinite epsilon fails one of the bounds.
     """
 
     __slots__ = ("center", "epsilon")
@@ -45,9 +47,8 @@ class EnvelopeParams(Frozen):
             raise HypothesisError(f"requires p > 3 (got p = {p})")
         if q >= p:
             raise HypothesisError(f"requires 0 <= q < p (got p = {p} and q = {q})")
-        if not isinstance(epsilon, (int, float)) or not -math.inf < epsilon < math.inf:
-            raise HypothesisError(f"requires a finite epsilon (got {epsilon!r})")
-        if epsilon <= 1:
+        require_number("epsilon", epsilon)
+        if not epsilon > 1:
             raise HypothesisError(
                 f"requires epsilon > 1 (got epsilon = {show(epsilon)})"
             )
@@ -251,22 +252,30 @@ def _fold(rows: Sequence[tuple], eps: float) -> tuple:
 
 
 class SweepResult(Frozen):
-    """One (center, epsilon) combination: a report, or why it was skipped."""
+    """One (center, epsilon) combination: its report, or why it was skipped.
+
+    SweepResult(center, epsilon) builds EnvelopeParams(center, epsilon).
+    If that raises DomainError or HypothesisError, skip_reason is the
+    error's message and report is None; otherwise report is
+    VerificationReport(params) and skip_reason is None.  Its fields are
+    the center and epsilon: it compares, hashes, prints, pickles and
+    copies as them, and unpickling or copying runs the combination again.
+    """
 
     __slots__ = ("center", "epsilon", "report", "skip_reason")
+    _fields = ("center", "epsilon")
     center: Center
     epsilon: float
     report: VerificationReport | None
     skip_reason: str | None
 
-    def __init__(
-        self,
-        center: Center,
-        epsilon: float,
-        report: VerificationReport | None,
-        skip_reason: str | None,
-    ):
-        setfields(self, center, epsilon, report, skip_reason)
+    def __init__(self, center: Center, epsilon: float):
+        try:
+            params = EnvelopeParams(center, epsilon)
+        except (DomainError, HypothesisError) as exc:
+            setfields(self, center, epsilon, None, str(exc))
+        else:
+            setfields(self, center, epsilon, VerificationReport(params), None)
 
 
 def bezout_segment(pair: CoprimePair) -> Segment:
@@ -293,8 +302,9 @@ def endpoint_gaps(pair: CoprimePair, params: EnvelopeParams) -> tuple[float, flo
     gap_alpha = ||B(r,s) - alpha(t0)|| and gap_beta = ||B(s,r) - beta(t0)||
     at t0 = contact_parameter(pair).  Requires the pair to lie within
     distance epsilon of the center, by the kernels' integer disk rule
-    ``_kernels_py.disk_limit``, exact at every epsilon; both gaps are
-    then below epsilon + 1.
+    ``_kernels_py.disk_limit``; both gaps are then below epsilon + 1.
+    The squared distance is exact but epsilon**2 is rounded, so a pair
+    within half an ulp of the circle can fall on either side of it.
     """
     require_instance("endpoint_gaps", "pair", pair, CoprimePair)
     require_instance("endpoint_gaps", "params", params, EnvelopeParams)
@@ -323,12 +333,9 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
 
 
 def sweep_one(center: Center, epsilon: float) -> SweepResult:
-    """Run one combination, capturing invalid parameters as skips."""
-    try:
-        params = EnvelopeParams(center, epsilon)
-    except (DomainError, HypothesisError) as exc:
-        return SweepResult(center, epsilon, None, str(exc))
-    return SweepResult(center, epsilon, build_envelope(params), None)
+    """Run one combination: SweepResult(center, epsilon), a report or a
+    skip naming the violated hypothesis."""
+    return SweepResult(center, epsilon)
 
 
 def audit_sweep(

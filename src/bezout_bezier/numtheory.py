@@ -12,7 +12,8 @@ import math
 from itertools import chain, starmap
 
 from . import _kernels_py as kernels
-from ._frozen import INT_RANGE, Frozen, require_instance, require_int, setfields, show
+from ._frozen import INT_RANGE, Frozen, require_instance, require_int, require_number
+from ._frozen import setfields, show
 from .errors import DomainError
 
 
@@ -106,6 +107,8 @@ class Center(Frozen):
 
 def gcd(x: int, y: int) -> int:
     """Greatest common divisor of two nonnegative integers, not both zero."""
+    require_int("gcd", "x", x)
+    require_int("gcd", "y", y)
     if x < 0 or y < 0:
         raise DomainError(f"gcd expects nonnegative integers (got {show(x, y)})")
     if x == 0 and y == 0:
@@ -129,12 +132,14 @@ def flip_bezout(coeffs: BezoutCoeffs) -> BezoutCoeffs:
 
     No second Euclid run: the identity transfers the solution directly.
     """
+    require_instance("flip_bezout", "coeffs", coeffs, BezoutCoeffs)
     p, q = coeffs.pair.r, coeffs.pair.s
     return BezoutCoeffs(q - coeffs.b, p - coeffs.a, CoprimePair(q, p))
 
 
 def extend_pair(coeffs: BezoutCoeffs) -> CoprimePair:
     """The coprime pair (b+q, a+p), whose coefficients are exactly (q, p)."""
+    require_instance("extend_pair", "coeffs", coeffs, BezoutCoeffs)
     p, q = coeffs.pair.r, coeffs.pair.s
     r, s = coeffs.b + q, coeffs.a + p
     if r > INT_RANGE or s > INT_RANGE:
@@ -147,29 +152,25 @@ def extend_pair(coeffs: BezoutCoeffs) -> CoprimePair:
 def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     """All coprime pairs (r, s), r, s >= 1, within `radius` of the center.
 
-    Within is the kernels' integer disk rule, ``_kernels_py.disk_limit``,
-    exact at every radius.  Sorted lexicographically by (r, s).  The
+    Within is the kernels' integer disk rule, ``_kernels_py.disk_limit``:
+    the squared distance is exact, and a float radius**2 is rounded, so
+    a pair within half an ulp of the circle can fall on either side of
+    it.  Sorted lexicographically by (r, s).  The
     center itself is included when it qualifies.  An empty list is a
     valid result.  The kernel's pairs are checked in bulk for everything
     CoprimePair checks one at a time (entries in [1, 2**31], gcd 1), at
     C speed; a pair that fails raises DomainError naming it.  `radius`
-    is an int or a float, not a bool: anything else raises DomainError.
+    is an int or a float, not a bool (``require_number``), and at least
+    0; anything else raises DomainError.
     """
     require_instance("coprime_neighbors", "center", center, Center)
-    if not isinstance(radius, (int, float)) or isinstance(radius, bool):
-        raise DomainError("radius must be a number")
-    try:
-        radius = float(radius)
-    except OverflowError:  # an int beyond every float, so beyond the range
-        radius = math.inf if radius > 0 else -math.inf
-    if math.isnan(radius):
-        raise DomainError("radius must be a number")
-    if radius < 0:
-        raise DomainError(f"radius must be nonnegative (got {radius})")
+    require_number("radius", radius)
+    if not radius >= 0:
+        raise DomainError(f"radius must be nonnegative (got {show(radius)})")
     if center.p + radius > INT_RANGE or center.q + radius > INT_RANGE:
         raise DomainError(
             "neighborhood extends beyond the supported range 2**31 "
-            f"(got p = {center.p}, q = {center.q} and radius = {radius})"
+            f"(got p = {center.p}, q = {center.q} and radius = {show(radius)})"
         )
     pairs = kernels.coprime_pairs_in_disk(center.p, center.q, radius)
     entries = list(chain.from_iterable(pairs))

@@ -201,6 +201,39 @@ def test_points_on_and_off_the_circle():
     assert (13, 7) in _kernels_py.coprime_pairs_in_disk(10, 7, 3.0)
 
 
+def test_disk_limit_rounds_the_float_square_up_below_2_53():
+    # The squared distance is exact, the float radius * radius is not:
+    # sqrt(41)'s exact square is below 41, its float square is 41.0, so
+    # the six coprime points at distance sqrt(41) are kept.
+    radius = math.sqrt(41)
+    assert Fraction(radius) ** 2 < 41
+    assert _kernels_py.disk_limit(radius) == 41
+    pairs = _kernels_py.coprime_pairs_in_disk(1000, 500, radius)
+    beyond = [(r, s) for r, s in pairs if Fraction(r - 1000) ** 2
+              + Fraction(s - 500) ** 2 > Fraction(radius) ** 2]
+    assert beyond == [
+        (995, 496), (995, 504), (996, 505), (1004, 495), (1004, 505), (1005, 496)
+    ]
+    assert len(pairs) == 79
+    # endpoint_gaps reads the same rule: d**2 = eps**2 + 1, and eps**2
+    # rounds up to d**2 beyond 2**53
+    eps = 300000003.0
+    params = EnvelopeParams(Center(600000016, 0), eps)
+    assert Fraction(eps) ** 2 < 300000003**2 + 1 <= _kernels_py.disk_limit(eps)
+    assert endpoint_gaps(CoprimePair(900000019, 1), params)[0] < eps + 1
+
+
+def test_disk_limit_rounds_the_float_square_down_beyond_2_53():
+    # Beyond 2**53 an integer square need not be a float: 300000001**2
+    # rounds down, so the pair at exactly epsilon is refused.
+    eps = 300000001.0
+    assert _kernels_py.disk_limit(eps) == 300000001**2 - 1
+    assert _kernels_py.disk_limit(300000001) == 300000001**2
+    params = EnvelopeParams(Center(600000016, 1), eps)
+    with pytest.raises(HypothesisError, match="lies 300000001.0 from"):
+        endpoint_gaps(CoprimePair(900000017, 1), params)
+
+
 def test_negative_radius_yields_empty():
     assert _kernels_py.coprime_pairs_in_disk(10, 10, -1.0) == []
     assert _kernels_py.envelope_scan(10, 3, -0.5) == []

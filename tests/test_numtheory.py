@@ -47,12 +47,28 @@ class TestGcd:
             assert gcd(x, y) == gcd_by_scan(x, y)
 
     def test_both_zero_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^gcd\(0, 0\) is undefined$"):
             gcd(0, 0)
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as excinfo:
             gcd(-3, 5)
+        assert str(excinfo.value) == "gcd expects nonnegative integers (got -3, 5)"
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (True, 3, "gcd needs an integer x (got x = True)"),
+            (2.5, 3, "gcd needs an integer x (got x = 2.5)"),
+            (3, False, "gcd needs an integer y (got y = False)"),
+        ],
+        ids=["bool", "float", "bool y"],
+    )
+    def test_non_int_rejected(self, x, y, message):
+        # True would pass math.gcd as 1, and 2.5 raise its TypeError
+        with pytest.raises(DomainError) as excinfo:
+            gcd(x, y)
+        assert str(excinfo.value) == message
 
 
 class TestBezoutCoefficients:
@@ -209,29 +225,40 @@ class TestCoprimeNeighbors:
             coprime_neighbors(Center(3, 3), -1.0)
 
     def test_nan_radius_rejected(self):
+        # the one `not radius >= 0` test refuses nan too
         with pytest.raises(DomainError) as excinfo:
             coprime_neighbors(Center(10, 3), float("nan"))
-        assert str(excinfo.value) == "radius must be a number"
+        assert str(excinfo.value) == "radius must be nonnegative (got nan)"
 
     @pytest.mark.parametrize("radius", ["2", True, None, 2 + 0j])
     def test_radius_that_is_not_a_number_rejected(self, radius):
         with pytest.raises(DomainError) as excinfo:
             coprime_neighbors(Center(10, 3), radius)
-        assert str(excinfo.value) == "radius must be a number"
+        assert str(excinfo.value) == f"radius must be a number (got {radius!r})"
 
     @pytest.mark.parametrize(
         "radius, message",
         [
             (10**400, "neighborhood extends beyond the supported range 2**31 "
-                      "(got p = 10, q = 3 and radius = inf)"),
-            (-10**400, "radius must be nonnegative (got -inf)"),
+                      f"(got p = 10, q = 3 and radius = {10**400})"),
+            (-10**400, f"radius must be nonnegative (got {-10**400})"),
+            (10**5000, "neighborhood extends beyond the supported range 2**31 "
+                       "(got p = 10, q = 3 and radius = <16610-bit integer>)"),
         ],
-        ids=["10**400", "-10**400"],
+        ids=["10**400", "-10**400", "10**5000"],
     )
     def test_int_beyond_the_floats_refused(self, radius, message):
         with pytest.raises(DomainError) as excinfo:
             coprime_neighbors(Center(10, 3), radius)
         assert str(excinfo.value) == message
+
+    def test_int_radius_is_its_float(self):
+        # an int radius reaches the kernel unconverted, with the same disk
+        for center in (Center(10, 3), Center(300, 21), Center(50, 50)):
+            for radius in (0, 1, 3, 7):
+                assert coprime_neighbors(center, radius) == coprime_neighbors(
+                    center, float(radius)
+                )
 
     def test_center_validation(self):
         with pytest.raises(DomainError):

@@ -34,6 +34,8 @@ from bezout_bezier import (
     contact_parameter,
     coprime_neighbors,
     endpoint_gaps,
+    extend_pair,
+    flip_bezout,
     gcd,
 )
 from bezout_bezier.envelope import EnvelopeRecords
@@ -117,13 +119,10 @@ CASES = {
         f"VerificationReport(params={_PARAMS_REPR})",
     ),
     "SweepResult": (
-        ("center", "epsilon", "report", "skip_reason"),
-        lambda: SweepResult(
-            Center(10, 3), 0.5, None, "requires epsilon > 1 (got epsilon = 0.5)"
-        ),
-        SweepResult(Center(10, 3), 0.5, None, None),
-        "SweepResult(center=Center(p=10, q=3), epsilon=0.5, report=None, "
-        "skip_reason='requires epsilon > 1 (got epsilon = 0.5)')",
+        ("center", "epsilon"),
+        lambda: SweepResult(Center(10, 3), 0.5),
+        SweepResult(Center(10, 3), 2.0),
+        "SweepResult(center=Center(p=10, q=3), epsilon=0.5)",
     ),
     "RenderOptions": (
         (
@@ -304,10 +303,31 @@ _HUGE_TEXT = "<16610-bit integer>"
          "requires p > 3 (got p = 3)"),
         (lambda: EnvelopeParams(Center(4, 7), 2.0), HypothesisError,
          "requires 0 <= q < p (got p = 4 and q = 7)"),
-        (lambda: EnvelopeParams(Center(10, 3), math.nan), HypothesisError,
-         "requires a finite epsilon (got nan)"),
-        (lambda: EnvelopeParams(Center(10, 3), "2"), HypothesisError,
-         "requires a finite epsilon (got '2')"),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), math.nan), HypothesisError,
+            "requires epsilon > 1 (got epsilon = nan)",
+            id="nan epsilon",
+        ),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), -math.inf), HypothesisError,
+            "requires epsilon > 1 (got epsilon = -inf)",
+            id="-inf epsilon",
+        ),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), math.inf), HypothesisError,
+            f"requires epsilon <= ||(p,q)||/2 = {_HALF_NORM} (got epsilon = inf)",
+            id="inf epsilon",
+        ),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), "2"), DomainError,
+            "epsilon must be a number (got '2')",
+            id="str epsilon",
+        ),
+        pytest.param(
+            lambda: EnvelopeParams(Center(10, 3), True), DomainError,
+            "epsilon must be a number (got True)",
+            id="bool epsilon",
+        ),
         (lambda: EnvelopeParams(Center(10, 3), 1), HypothesisError,
          "requires epsilon > 1 (got epsilon = 1)"),
         (lambda: EnvelopeParams(Center(10, 3), 99.0), HypothesisError,
@@ -480,6 +500,16 @@ _HUGE_TEXT = "<16610-bit integer>"
             lambda: bezout_segment((3, 5)), DomainError,
             "bezout_segment needs pair of type CoprimePair (got pair = (3, 5))",
             id="tuple bezout_segment pair",
+        ),
+        pytest.param(
+            lambda: flip_bezout((2, 3)), DomainError,
+            "flip_bezout needs coeffs of type BezoutCoeffs (got coeffs = (2, 3))",
+            id="tuple flip_bezout coeffs",
+        ),
+        pytest.param(
+            lambda: extend_pair((2, 3)), DomainError,
+            "extend_pair needs coeffs of type BezoutCoeffs (got coeffs = (2, 3))",
+            id="tuple extend_pair coeffs",
         ),
     ],
 )
