@@ -1,8 +1,8 @@
 """The base class of the package's immutable value types, the one store
-of their fields, their integer field check with the supported range,
-their real-number field check and their check that a field is an
-instance of its class, the text their error messages give a
-value, and the row chunks that streamed output is written in.
+of their fields, their integer field check with its floor and the
+supported range, their real-number field check and their check that a
+field is an instance of its class, the text their error messages give
+a value, and the row chunks that streamed output is written in.
 
 This module imports nothing heavy, so a command that writes rows in
 chunks without building an envelope (neighbors) gets ``chunked``
@@ -17,8 +17,8 @@ from .errors import DomainError
 CHUNK_ROWS = 2048
 
 # The documented supported range: the integer fields that opt in
-# (Center, CoprimePair), EnvelopeParams and coprime_neighbors refuse
-# values beyond it.
+# (Center, CoprimePair, RenderOptions.width_px), EnvelopeParams and
+# coprime_neighbors refuse values beyond it.
 INT_RANGE = 2**31
 
 

@@ -22,8 +22,9 @@ written so far.
 Each command imports the modules it runs when it runs: ``bezout`` and
 ``neighbors`` load none of envelope, geometry and io_render, ``verify``,
 ``audit-sweep`` and ``envelope --format text`` load envelope and
-geometry, and only the csv and svg formats of ``envelope`` load
-io_render.
+geometry, and only the csv and svg formats of ``envelope``, and a
+render flag that is given (RenderOptions checks it at parse time),
+load io_render.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _checked(convert, ok, expected: str):
     """An argparse type: `convert` the text and require `ok(value)`.
 
     Text that does not convert gets the same message as a value out of
-    range, so argparse never names this function in its error.
+    range, so argparse never names this function in its error.  A
+    DomainError from `ok` gives its own message instead.
     """
 
     def parse(text: str):
@@ -71,11 +73,29 @@ def _checked(convert, ok, expected: str):
             value = convert(text)
             if ok(value):
                 return value
+        # DomainError subclasses ValueError, so it is caught first
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"{expected}, got {text}")
 
     return parse
+
+
+def _render_flag(convert, name: str):
+    """The argparse type of the render flag for RenderOptions' field
+    `name`: RenderOptions itself checks the value, so a bad flag is a
+    usage error (exit 1) at parse time, before any scan.  io_render is
+    loaded only when the flag is given."""
+
+    def ok(value):
+        from .io_render import RenderOptions
+
+        return RenderOptions(**{name: value})
+
+    kind = "an integer" if convert is int else "a number"
+    return _checked(convert, ok, f"expected {kind}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,24 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--output", default=None, help="write to this file instead of stdout"
     )
-    # These bounds repeat RenderOptions' own so that a bad flag is a usage
-    # error (exit 1) at parse time; RenderOptions would refuse it with a
-    # DomainError (exit 2), and only after the envelope is built.
-    sp.add_argument(
-        "--width-px",
-        type=_checked(int, lambda v: v >= 16, "width must be at least 16 px"),
-    )
+    sp.add_argument("--width-px", type=_render_flag(int, "width_px"))
     sp.add_argument("--show-curve", action="store_true")
     sp.add_argument("--show-controls", action="store_true")
+    sp.add_argument("--curve-samples", type=_render_flag(int, "curve_samples"))
     sp.add_argument(
-        "--curve-samples",
-        type=_checked(int, lambda v: v >= 2, "need at least 2 samples"),
-    )
-    sp.add_argument(
-        "--stroke-width-fraction",
-        type=_checked(
-            float, lambda v: 0.0 < v < 1.0, "stroke fraction must lie in (0, 1)"
-        ),
+        "--stroke-width-fraction", type=_render_flag(float, "stroke_width_fraction")
     )
     sp.set_defaults(func=cmd_envelope)
 

@@ -67,14 +67,10 @@ class RenderOptions(Frozen):
         curve_samples: int = 256,
         stroke_width_fraction: float = 0.0008,
     ):
-        require_int("RenderOptions", "width_px", width_px)
-        require_int("RenderOptions", "curve_samples", curve_samples)
+        require_int("RenderOptions", "width_px", width_px, minimum=16, in_range=True)
+        require_int("RenderOptions", "curve_samples", curve_samples, minimum=2)
         require_instance("RenderOptions", "show_curve", show_curve, bool)
         require_instance("RenderOptions", "show_controls", show_controls, bool)
-        if width_px < 16:
-            raise DomainError(f"width_px must be >= 16 (got {show(width_px)})")
-        if curve_samples < 2:
-            raise DomainError(f"curve_samples must be >= 2 (got {show(curve_samples)})")
         frac = stroke_width_fraction
         require_number("stroke_width_fraction", frac)
         if not 0.0 < frac < 1.0:
@@ -86,6 +82,7 @@ class RenderOptions(Frozen):
 
 def csv_chunks(report: VerificationReport):
     """Yield the text of to_csv: the header, then the rows in chunks."""
+    require_instance("csv_chunks", "report", report, VerificationReport)
     eps = report.params.epsilon
     yield CSV_HEADER + "\n"
     for chunk in chunked(report.rows):
@@ -109,6 +106,8 @@ def to_csv(report: VerificationReport) -> str:
 
 def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()):
     """Yield the text of to_svg: header, lines in chunks, then trailer."""
+    require_instance("svg_chunks", "report", report, VerificationReport)
+    require_instance("svg_chunks", "opts", opts, RenderOptions)
     p, q = report.params.center.p, report.params.center.q
     curve = QuadBezier(p, q)
     # The box starts at the origin: it is a control point, and every

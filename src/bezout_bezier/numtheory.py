@@ -25,12 +25,8 @@ class CoprimePair(Frozen):
     s: int
 
     def __init__(self, r: int, s: int):
-        require_int("coprime pair", "r", r, in_range=True)
-        require_int("coprime pair", "s", s, in_range=True)
-        if r < 1 or s < 1:
-            raise DomainError(
-                f"coprime pair entries must be positive integers (got ({show(r, s)}))"
-            )
+        require_int("coprime pair", "r", r, minimum=1, in_range=True)
+        require_int("coprime pair", "s", s, minimum=1, in_range=True)
         g = math.gcd(r, s)
         if g != 1:
             raise DomainError(f"({r}, {s}) is not coprime: gcd = {g}")
@@ -107,10 +103,8 @@ class Center(Frozen):
 
 def gcd(x: int, y: int) -> int:
     """Greatest common divisor of two nonnegative integers, not both zero."""
-    require_int("gcd", "x", x)
-    require_int("gcd", "y", y)
-    if x < 0 or y < 0:
-        raise DomainError(f"gcd expects nonnegative integers (got {show(x, y)})")
+    require_int("gcd", "x", x, minimum=0)
+    require_int("gcd", "y", y, minimum=0)
     if x == 0 and y == 0:
         raise DomainError("gcd(0, 0) is undefined")
     return math.gcd(x, y)

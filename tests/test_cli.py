@@ -258,6 +258,34 @@ class TestEnvelope:
             main(["envelope", "300", "21", "2", "--format", "svg", "--width-px", "4"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--width-px", "15",
+             "RenderOptions needs width_px >= 16 (got width_px = 15)"),
+            ("--curve-samples", "1",
+             "RenderOptions needs curve_samples >= 2 (got curve_samples = 1)"),
+            ("--stroke-width-fraction", "1.5",
+             "stroke_width_fraction must lie in (0, 1) (got 1.5)"),
+            ("--width-px", str(10**400),
+             f"width_px = {10**400} exceeds the supported range 2**31"),
+        ],
+    )
+    def test_render_flag_is_checked_by_render_options(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        # RenderOptions' own message, at parse time: no scan runs
+        def no_scan(*args):
+            raise AssertionError("the envelope was scanned")
+
+        monkeypatch.setattr(envelope.kernels, "envelope_scan", no_scan)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["envelope", "300", "21", "2", "--format", "svg", flag, value])
+        assert excinfo.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: argument {flag}: {message}\n")
+
     def test_file_output_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):

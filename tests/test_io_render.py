@@ -186,6 +186,46 @@ class TestRenderOptions:
             RenderOptions(stroke_width_fraction=0.0)
 
 
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        pytest.param(
+            lambda: to_csv(None),
+            "csv_chunks needs report of type VerificationReport (got report = None)",
+            id="to_csv None",
+        ),
+        pytest.param(
+            lambda: to_svg(EnvelopeParams(Center(300, 21), 2.0)),
+            "svg_chunks needs report of type VerificationReport (got report = "
+            "EnvelopeParams(center=Center(p=300, q=21), epsilon=2.0))",
+            id="to_svg params",
+        ),
+        pytest.param(
+            lambda: to_svg(empty_report(), None),
+            "svg_chunks needs opts of type RenderOptions (got opts = None)",
+            id="to_svg None opts",
+        ),
+        pytest.param(
+            lambda: next(csv_chunks((300, 21, 2.0))),
+            "csv_chunks needs report of type VerificationReport "
+            "(got report = (300, 21, 2.0))",
+            id="csv_chunks tuple",
+        ),
+        pytest.param(
+            lambda: next(svg_chunks(empty_report(), {"width_px": 400})),
+            "svg_chunks needs opts of type RenderOptions "
+            "(got opts = {'width_px': 400})",
+            id="svg_chunks dict opts",
+        ),
+    ],
+)
+def test_writers_refuse_what_is_not_a_report(write, message):
+    # the generators check at their first next(); to_csv and to_svg at once
+    with pytest.raises(DomainError) as excinfo:
+        write()
+    assert str(excinfo.value) == message
+
+
 class TestWriterBytes:
     """Reports from build_envelope and from the constructor, called by
     hand, write the same bytes.

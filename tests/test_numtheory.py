@@ -53,7 +53,7 @@ class TestGcd:
     def test_negative_rejected(self):
         with pytest.raises(DomainError) as excinfo:
             gcd(-3, 5)
-        assert str(excinfo.value) == "gcd expects nonnegative integers (got -3, 5)"
+        assert str(excinfo.value) == "gcd needs x >= 0 (got x = -3)"
 
     @pytest.mark.parametrize(
         "x, y, message",

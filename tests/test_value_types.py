@@ -255,7 +255,7 @@ _HUGE_TEXT = "<16610-bit integer>"
     "build, exc_type, message",
     [
         (lambda: CoprimePair(0, 5), DomainError,
-         "coprime pair entries must be positive integers (got (0, 5))"),
+         "coprime pair needs r >= 1 (got r = 0)"),
         (lambda: CoprimePair(2**31 + 1, 1), DomainError,
          "r = 2147483649 exceeds the supported range 2**31"),
         (lambda: CoprimePair(1, 2**31 + 1), DomainError,
@@ -341,9 +341,14 @@ _HUGE_TEXT = "<16610-bit integer>"
         (lambda: EnvelopeParams(Center(2**31, 2**31 - 1), 3.0), DomainError,
          "requires p + epsilon <= 2**31 (got p = 2147483648 and epsilon = 3.0)"),
         (lambda: RenderOptions(width_px=15), DomainError,
-         "width_px must be >= 16 (got 15)"),
+         "RenderOptions needs width_px >= 16 (got width_px = 15)"),
         (lambda: RenderOptions(curve_samples=1), DomainError,
-         "curve_samples must be >= 2 (got 1)"),
+         "RenderOptions needs curve_samples >= 2 (got curve_samples = 1)"),
+        pytest.param(
+            lambda: RenderOptions(width_px=10**400), DomainError,
+            f"width_px = {10**400} exceeds the supported range 2**31",
+            id="huge int RenderOptions width_px",
+        ),
         (lambda: RenderOptions(stroke_width_fraction=1.0), DomainError,
          "stroke_width_fraction must lie in (0, 1) (got 1.0)"),
         (lambda: RenderOptions(stroke_width_fraction="0.1"), DomainError,
@@ -376,7 +381,7 @@ _HUGE_TEXT = "<16610-bit integer>"
         ),
         pytest.param(
             lambda: CoprimePair(1, -_HUGE), DomainError,
-            f"coprime pair entries must be positive integers (got (1, -{_HUGE_TEXT}))",
+            f"coprime pair needs s >= 1 (got s = -{_HUGE_TEXT})",
             id="huge negative int CoprimePair s",
         ),
         pytest.param(
@@ -392,12 +397,12 @@ _HUGE_TEXT = "<16610-bit integer>"
         ),
         pytest.param(
             lambda: RenderOptions(width_px=-_HUGE), DomainError,
-            f"width_px must be >= 16 (got -{_HUGE_TEXT})",
+            f"RenderOptions needs width_px >= 16 (got width_px = -{_HUGE_TEXT})",
             id="huge negative int RenderOptions width_px",
         ),
         pytest.param(
             lambda: gcd(-_HUGE, 1), DomainError,
-            f"gcd expects nonnegative integers (got -{_HUGE_TEXT}, 1)",
+            f"gcd needs x >= 0 (got x = -{_HUGE_TEXT})",
             id="huge negative int gcd",
         ),
         pytest.param(
@@ -518,3 +523,41 @@ def test_constructor_errors(build, exc_type, message):
         build()
     assert type(excinfo.value) is exc_type
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, owner, name, minimum",
+    [
+        pytest.param(lambda v: Center(v, 0), "center", "p", 1, id="Center p"),
+        pytest.param(lambda v: Center(1, v), "center", "q", 0, id="Center q"),
+        pytest.param(lambda v: QuadBezier(v, 0), "curve", "p", 1, id="QuadBezier p"),
+        pytest.param(lambda v: QuadBezier(1, v), "curve", "q", 0, id="QuadBezier q"),
+        pytest.param(
+            lambda v: CoprimePair(v, 1), "coprime pair", "r", 1, id="CoprimePair r"
+        ),
+        pytest.param(
+            lambda v: CoprimePair(1, v), "coprime pair", "s", 1, id="CoprimePair s"
+        ),
+        pytest.param(
+            lambda v: RenderOptions(width_px=v), "RenderOptions", "width_px", 16,
+            id="RenderOptions width_px",
+        ),
+        pytest.param(
+            lambda v: RenderOptions(curve_samples=v), "RenderOptions",
+            "curve_samples", 2, id="RenderOptions curve_samples",
+        ),
+        pytest.param(lambda v: gcd(v, 1), "gcd", "x", 0, id="gcd x"),
+        pytest.param(lambda v: gcd(1, v), "gcd", "y", 0, id="gcd y"),
+    ],
+)
+def test_integer_floor_message(build, owner, name, minimum):
+    # every integer floor is require_int's: one message form, and the
+    # floor itself is admitted
+    build(minimum)
+    for value in (minimum - 1, minimum - 1000):
+        with pytest.raises(DomainError) as excinfo:
+            build(value)
+        assert type(excinfo.value) is DomainError
+        assert str(excinfo.value) == (
+            f"{owner} needs {name} >= {minimum} (got {name} = {value})"
+        )
