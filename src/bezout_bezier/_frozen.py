@@ -17,15 +17,16 @@ from .errors import DomainError
 CHUNK_ROWS = 2048
 
 # The documented supported range: the integer fields that opt in
-# (Center, CoprimePair, RenderOptions.width_px), EnvelopeParams and
-# coprime_neighbors refuse values beyond it.
+# (Center, CoprimePair, QuadBezier, RenderOptions.width_px),
+# EnvelopeParams and coprime_neighbors refuse values beyond it.
 INT_RANGE = 2**31
 
 
 def setfields(obj, *values) -> None:
     """Set the fields of `obj` to `values`, in ``__slots__`` order, through
-    the slots' own setters, past the frozen __setattr__."""
-    for setter, value in zip(obj._setters, values):
+    the slots' own setters, past the frozen __setattr__.  A count of
+    values other than the count of slots raises ValueError."""
+    for setter, value in zip(obj._setters, values, strict=True):
         setter(obj, value)
 
 
@@ -91,7 +92,11 @@ class Frozen:
     its fields are read from, or one derived from them) names them, in
     the order its ``__init__`` takes them, in ``_fields``.
     That order is the constructor's contract: pickling and copying
-    rebuild an instance as ``cls(*fields)``.  Instances compare
+    rebuild an instance as ``cls(*fields)``.  A slot outside ``_fields``
+    holds a derived value: the constructor computes it from the fields
+    and sets it once, in the same ``setfields`` call, and it is as
+    read-only as a field.  Only EnvelopeRecord derives values on read,
+    from its kernel row.  Instances compare
     equal only to instances of the same class with equal fields, hash
     as the tuple of their fields, print as ``Name(field=value, ...)``,
     refuse assignment and deletion with AttributeError, and pickle and

@@ -33,10 +33,12 @@ class EnvelopeParams(Frozen):
     p + epsilon <= 2**31 so that every neighbor stays in the supported
     integer range (q < p makes the bound on q follow).  epsilon must be
     an int or a float, not a bool (``require_number``); a nan or an
-    infinite epsilon fails one of the bounds.
+    infinite epsilon fails one of the bounds.  radius = epsilon - 1, the
+    enumeration radius for the deviation bound.
     """
 
-    __slots__ = ("center", "epsilon")
+    __slots__ = ("center", "epsilon", "radius")
+    _fields = ("center", "epsilon")
     center: Center
     epsilon: float
 
@@ -63,12 +65,7 @@ class EnvelopeParams(Frozen):
                 f"requires p + epsilon <= 2**31 "
                 f"(got p = {p} and epsilon = {epsilon})"
             )
-        setfields(self, center, epsilon)
-
-    @property
-    def radius(self) -> float:
-        """Enumeration radius for the deviation bound: epsilon - 1."""
-        return self.epsilon - 1.0
+        setfields(self, center, epsilon, epsilon - 1.0)
 
 
 class EnvelopeRecord(Frozen):
@@ -81,9 +78,11 @@ class EnvelopeRecord(Frozen):
     pickles and copies as those two.  The other attributes are read-only
     properties of the row; the objects among them (pair, coeffs,
     flipped, segment) are built each time they are read, and bound_ok
-    is deviation < params.epsilon.  A pair that is not a CoprimePair, or
-    params that are not EnvelopeParams, raise DomainError naming the
-    field.
+    is deviation < params.epsilon.  A record is a view of one row that
+    its store shares: unlike the other value types it derives its
+    values on read, so that taking a record from a store copies none of
+    them.  A pair that is not a CoprimePair, or params that are not
+    EnvelopeParams, raise DomainError naming the field.
     """
 
     __slots__ = ("_row", "params")
@@ -178,12 +177,14 @@ class VerificationReport(Frozen):
     neighbor the kernel measured for its params.
 
     Its one field is the params: it compares, hashes, prints, pickles
-    and copies as them.  The records, rows and summary are read-only.
+    and copies as them.  The records, rows and summary are read-only
+    slots that the constructor sets once.
     Unpickling or copying a report scans again: about 0.1 s for a disk
     of 75 k pairs (Python 3.11, one core of a shared 2-core machine).
     """
 
-    __slots__ = ("params", "records", "_summary")
+    __slots__ = ("params", "records", "rows", "neighbor_count", "all_bounds_hold",
+                 "max_deviation", "max_endpoint_gap", "extent")
     _fields = ("params",)
     params: EnvelopeParams
     records: EnvelopeRecords
@@ -191,23 +192,15 @@ class VerificationReport(Frozen):
     def __init__(self, params: EnvelopeParams):
         require_instance("VerificationReport", "params", params, EnvelopeParams)
         records = EnvelopeRecords(params)
-        setfields(self, params, records, _fold(records._rows, params.epsilon))
-
-    # The kernel rows of the records: the one store that the fold and every
-    # writer read.
-    rows = property(lambda self: self.records._rows)
-
-    # The summary, read from the fold's tuple.
-    neighbor_count = property(lambda self: self._summary[0])
-    all_bounds_hold = property(lambda self: self._summary[1])
-    max_deviation = property(lambda self: self._summary[2])
-    max_endpoint_gap = property(lambda self: self._summary[3])
-    extent = property(lambda self: self._summary[4:])
+        rows = records._rows
+        setfields(self, params, records, rows, *_fold(rows, params.epsilon))
 
 
 def _fold(rows: Sequence[tuple], eps: float) -> tuple:
     """Verify every kernel row and fold the rows into (count, all_ok,
-    max_dev, max_gap, x_max, y_max).
+    max_dev, max_gap, (x_max, y_max)): the report's derived slots
+    neighbor_count, all_bounds_hold, max_deviation, max_endpoint_gap and
+    extent, in slot order.
 
     A row must have a*s - b*r == 1, the box 0 < a <= r, 0 <= b < s, the
     flip (a_flip, b_flip) == (s - b, r - a) and r, s <= 2**31.  Those
@@ -248,7 +241,7 @@ def _fold(rows: Sequence[tuple], eps: float) -> tuple:
             y_max = b
         if bf > y_max:
             y_max = bf
-    return len(rows), all_ok, max_dev, max_gap, x_max, y_max
+    return len(rows), all_ok, max_dev, max_gap, (x_max, y_max)
 
 
 class SweepResult(Frozen):

@@ -78,18 +78,15 @@ class QuadBezier(Frozen):
     crash.
     """
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "is_degenerate")
+    _fields = ("p", "q")
     p: int
     q: int
 
     def __init__(self, p: int, q: int):
-        require_int("curve", "p", p, minimum=1)
-        require_int("curve", "q", q, minimum=0)
-        setfields(self, p, q)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.p == self.q
+        require_int("curve", "p", p, minimum=1, in_range=True)
+        require_int("curve", "q", q, minimum=0, in_range=True)
+        setfields(self, p, q, p == q)
 
     def control_points(self) -> tuple[Point2, Point2, Point2]:
         return (

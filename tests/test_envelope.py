@@ -615,15 +615,6 @@ class TestReportBoundary:
         assert not rec.bound_ok
         assert built.all_bounds_hold
 
-    def test_rows_is_a_read_only_property(self, built):
-        assert "rows" not in VerificationReport._fields
-        with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
-            built.rows = []
-        # nor can the store's rows be swapped after the fold
-        with pytest.raises(AttributeError, match="cannot assign to field '_rows'"):
-            built.records._rows = []
-        assert len(built.rows) == 2
-
     def test_hand_built_report_pickles_and_copies(self, built):
         # a report from the constructor pickles and copies as its params
         report = VerificationReport(self.PARAMS)

@@ -116,6 +116,9 @@ class TestQuadPoint:
         with pytest.raises(DomainError):
             QuadBezier(0, 3)
 
+    def test_top_of_the_supported_range(self):
+        assert quad_point(QuadBezier(2**31, 2**31 - 1), 1.0) == pt(2**31 - 1, 2**31)
+
 
 class TestTangentSegment:
     def test_small_curve(self):

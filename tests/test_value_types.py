@@ -38,6 +38,7 @@ from bezout_bezier import (
     flip_bezout,
     gcd,
 )
+from bezout_bezier._frozen import Frozen, setfields
 from bezout_bezier.envelope import EnvelopeRecords
 
 
@@ -244,6 +245,62 @@ def test_pickle_and_copy_round_trips(case):
         assert type(b) is type(a) and b == a
 
 
+# name: the slots outside _fields, which hold values the constructor
+# derives from the fields
+DERIVED = {
+    "QuadBezier": ("is_degenerate",),
+    "EnvelopeParams": ("radius",),
+    "EnvelopeRecord": ("_row",),
+    "EnvelopeRecords": ("_rows",),
+    "VerificationReport": (
+        "records", "rows", "neighbor_count", "all_bounds_hold", "max_deviation",
+        "max_endpoint_gap", "extent",
+    ),
+    "SweepResult": ("report", "skip_reason"),
+}
+
+
+def test_derived_slots(case):
+    # set once by the constructor: rebuilt by pickling and copying, which
+    # pass only the fields, and as read-only as a field
+    fields, make, _, _ = case
+    a = make()
+    cls = type(a)
+    derived = tuple(name for name in cls.__slots__ if name not in fields)
+    assert derived == DERIVED.get(cls.__name__, ())
+    assert not set(derived) & set(cls.__match_args__)
+    copies = [
+        pickle.loads(pickle.dumps(a, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    copies += [copy.copy(a), copy.deepcopy(a)]
+    for name in derived:
+        value = getattr(a, name)
+        for b in copies:
+            assert getattr(b, name) == value
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+        assert getattr(a, name) is value
+
+
+class _Pair(Frozen):
+    __slots__ = ("a", "b")
+
+    def __init__(self, *values):
+        setfields(self, *values)
+
+
+def test_setfields_sets_one_value_per_slot():
+    pair = _Pair(1, 2)
+    assert (pair.a, pair.b) == (1, 2)
+    # a value short would leave slot b unset until its first read failed
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            _Pair(*values)
+
+
 _HALF_NORM = 0.5 * math.hypot(10, 3)
 
 # An int too long for str(): a message names it by its sign and size.
@@ -299,6 +356,16 @@ _HUGE_TEXT = "<16610-bit integer>"
          "curve needs an integer p (got p = 2.5)"),
         (lambda: QuadBezier(3, False), DomainError,
          "curve needs an integer q (got q = False)"),
+        pytest.param(
+            lambda: QuadBezier(2**31 + 1, 0), DomainError,
+            "p = 2147483649 exceeds the supported range 2**31",
+            id="QuadBezier p beyond the range",
+        ),
+        pytest.param(
+            lambda: QuadBezier(10**400, 0), DomainError,
+            f"p = {10**400} exceeds the supported range 2**31",
+            id="QuadBezier p beyond the floats",
+        ),
         (lambda: EnvelopeParams(Center(3, 1), 2.0), HypothesisError,
          "requires p > 3 (got p = 3)"),
         (lambda: EnvelopeParams(Center(4, 7), 2.0), HypothesisError,
