@@ -32,12 +32,10 @@ _EXPORTS = {
         "EnvelopeRecord",
         "SweepResult",
         "VerificationReport",
-        "audit_sweep",
         "bezout_segment",
         "build_envelope",
         "contact_parameter",
         "endpoint_gaps",
-        "sweep_one",
     ),
     "errors": ("DomainError", "HypothesisError"),
     "geometry": (

@@ -1,6 +1,6 @@
 """The base class of the package's immutable value types, the one store
-of their fields, their integer field check with its floor and the
-supported range, their real-number field check and their check that a
+of their fields, their integer field check with its floor, its ceiling and
+the supported range, their real-number field check and their check that a
 field is an instance of its class, the text their error messages give
 a value, and the row chunks that streamed output is written in.
 
@@ -45,16 +45,22 @@ def _show(value, text) -> str:
 
 
 def require_int(
-    owner: str, name: str, value, minimum: int | None = None, in_range: bool = False
+    owner: str, name: str, value, minimum: int | None = None,
+    maximum: int | None = None, in_range: bool = False,
 ) -> None:
     """Raise DomainError, naming the field and value, unless `value` is
-    an int and not a bool, is at least `minimum` when one is given, and
-    is at most INT_RANGE when `in_range` is set."""
+    an int and not a bool, is at least `minimum` and at most `maximum`
+    when they are given, and is at most INT_RANGE when `in_range` is
+    set."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{owner} needs an integer {name} (got {name} = {value!r})")
     if minimum is not None and value < minimum:
         raise DomainError(
             f"{owner} needs {name} >= {minimum} (got {name} = {show(value)})"
+        )
+    if maximum is not None and value > maximum:
+        raise DomainError(
+            f"{owner} needs {name} <= {maximum} (got {name} = {show(value)})"
         )
     if in_range and value > INT_RANGE:
         raise DomainError(f"{name} = {show(value)} exceeds the supported range 2**31")

@@ -148,7 +148,8 @@ def pair_row(p, q, r, s):
 def envelope_scan(p, q, radius):
     """Segment data for every coprime pair within `radius` of (p, q).
 
-    For each pair (r, s), in lexicographic order, yields the tuple
+    Returns a list that holds, for each pair (r, s), in lexicographic
+    order, the tuple
 
         (r, s, a, b, a_flip, b_flip, t_contact, gap_alpha, gap_beta,
          deviation)

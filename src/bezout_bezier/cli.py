@@ -309,13 +309,13 @@ def cmd_audit_sweep(args) -> tuple[int, Iterable[str]]:
 
 
 def _audit_row(p: int, q: int, eps: float) -> str:
-    from .envelope import sweep_one
+    from .envelope import SweepResult
 
     try:
         center = Center(p, q)
     except DomainError as exc:
         return _skip_row(p, q, eps, str(exc))
-    result = sweep_one(center, eps)
+    result = SweepResult(center, eps)
     if result.report is None:
         return _skip_row(p, q, eps, result.skip_reason)
     report = result.report

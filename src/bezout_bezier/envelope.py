@@ -324,19 +324,3 @@ def build_envelope(params: EnvelopeParams) -> VerificationReport:
     """
     return VerificationReport(params)
 
-
-def sweep_one(center: Center, epsilon: float) -> SweepResult:
-    """Run one combination: SweepResult(center, epsilon), a report or a
-    skip naming the violated hypothesis."""
-    return SweepResult(center, epsilon)
-
-
-def audit_sweep(
-    centers: list[Center], epsilons: list[float]
-) -> list[SweepResult]:
-    """Run every (center, epsilon) combination, centers outermost.
-
-    Invalid combinations come back as skips naming the violated
-    hypothesis.
-    """
-    return [sweep_one(center, eps) for center in centers for eps in epsilons]

@@ -68,7 +68,11 @@ class RenderOptions(Frozen):
         stroke_width_fraction: float = 0.0008,
     ):
         require_int("RenderOptions", "width_px", width_px, minimum=16, in_range=True)
-        require_int("RenderOptions", "curve_samples", curve_samples, minimum=2)
+        # the curve is one polyline string of at most about 31 B a sample,
+        # so the ceiling holds it near 2 MiB
+        require_int(
+            "RenderOptions", "curve_samples", curve_samples, minimum=2, maximum=2**16
+        )
         require_instance("RenderOptions", "show_curve", show_curve, bool)
         require_instance("RenderOptions", "show_controls", show_controls, bool)
         frac = stroke_width_fraction

@@ -269,6 +269,8 @@ class TestEnvelope:
              "stroke_width_fraction must lie in (0, 1) (got 1.5)"),
             ("--width-px", str(10**400),
              f"width_px = {10**400} exceeds the supported range 2**31"),
+            ("--curve-samples", "65537",
+             "RenderOptions needs curve_samples <= 65536 (got curve_samples = 65537)"),
         ],
     )
     def test_render_flag_is_checked_by_render_options(
@@ -645,13 +647,13 @@ class TestAuditSweep:
         spec.write_text("10 3 2\n300 21 2\n", encoding="utf-8")
         out = io.StringIO()
         written_before = []
-        real_sweep_one = envelope.sweep_one
+        real_sweep_result = envelope.SweepResult
 
         def spy(center, eps):
             written_before.append(out.getvalue())
-            return real_sweep_one(center, eps)
+            return real_sweep_result(center, eps)
 
-        monkeypatch.setattr(envelope, "sweep_one", spy)
+        monkeypatch.setattr(envelope, "SweepResult", spy)
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["audit-sweep", str(spec)]) == EXIT_OK
         header, first, _ = out.getvalue().splitlines(keepends=True)

@@ -18,7 +18,6 @@ from bezout_bezier import (
     Segment,
     SweepResult,
     VerificationReport,
-    audit_sweep,
     bezout_coefficients,
     bezout_segment,
     build_envelope,
@@ -27,7 +26,6 @@ from bezout_bezier import (
     endpoint_gaps,
     quad_point,
     segment_distance,
-    sweep_one,
     tangent_segment,
     to_csv,
 )
@@ -293,52 +291,6 @@ class TestEndpointGapBound:
                         assert gap_b < eps + 1.0
 
 
-class TestAuditSweep:
-    def test_single_valid_combination(self):
-        results = audit_sweep([Center(10, 3)], [2.0])
-        assert len(results) == 1
-        result = results[0]
-        assert result.skip_reason is None
-        assert result.report is not None
-        assert result.report.all_bounds_hold
-        for rec in result.report.records:
-            assert rec.deviation < 2.0
-
-    def test_epsilon_hypothesis_skip(self):
-        results = audit_sweep([Center(10, 3)], [0.5])
-        assert results[0].report is None
-        assert "epsilon > 1" in results[0].skip_reason
-
-    def test_center_hypothesis_skip(self):
-        results = audit_sweep([Center(4, 7)], [2.0])
-        assert results[0].report is None
-        assert "q < p" in results[0].skip_reason
-
-    def test_combination_order(self):
-        centers = [Center(10, 3), Center(20, 7)]
-        epsilons = [2.0, 3.0]
-        results = audit_sweep(centers, epsilons)
-        combos = [(r.center.p, r.center.q, r.epsilon) for r in results]
-        assert combos == [(10, 3, 2.0), (10, 3, 3.0), (20, 7, 2.0), (20, 7, 3.0)]
-
-    def test_matches_sweep_one(self):
-        centers = [Center(p, 3) for p in range(5, 15)]
-        epsilons = [2.0, 2.5]
-        assert audit_sweep(centers, epsilons) == [
-            sweep_one(c, e) for c in centers for e in epsilons
-        ]
-
-    def test_out_of_range_skip(self):
-        (result,) = audit_sweep([Center(2**31, 2**31 - 1)], [3.0])
-        assert result.report is None
-        assert "p + epsilon <= 2**31" in result.skip_reason
-
-    def test_sweep_one_matches_build_envelope(self):
-        result = sweep_one(Center(12, 5), 2.0)
-        direct = build_envelope(EnvelopeParams(Center(12, 5), 2.0))
-        assert result.report == direct
-
-
 class TestSweepResult:
     """SweepResult(center, epsilon) runs its own combination."""
 
@@ -369,6 +321,11 @@ class TestSweepResult:
         else:
             assert result.report.params == params
             assert result.report.rows == build_envelope(params).rows
+
+    def test_report_equals_build_envelope(self):
+        result = SweepResult(Center(12, 5), 2.0)
+        direct = build_envelope(EnvelopeParams(Center(12, 5), 2.0))
+        assert result.report == direct
 
     @pytest.mark.parametrize(
         "args",

@@ -66,7 +66,9 @@ def test_submodule_resolves_on_first_touch():
     assert out == bezout_bezier.io_render.CSV_HEADER + "\n"
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "__wrapped__"])
+@pytest.mark.parametrize(
+    "name", ["no_such_name", "__wrapped__", "sweep_one", "audit_sweep"]
+)
 def test_unknown_name_raises_attribute_error(name):
     out = fresh(
         "import bezout_bezier\n"

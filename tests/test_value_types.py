@@ -628,3 +628,16 @@ def test_integer_floor_message(build, owner, name, minimum):
         assert str(excinfo.value) == (
             f"{owner} needs {name} >= {minimum} (got {name} = {value})"
         )
+
+
+def test_integer_ceiling_message():
+    # the one integer ceiling is require_int's too, and admitted itself;
+    # nothing here renders a curve
+    RenderOptions(curve_samples=2**16)
+    for value in (2**16 + 1, 2**16 + 1000, 10**400):
+        with pytest.raises(DomainError) as excinfo:
+            RenderOptions(curve_samples=value)
+        assert type(excinfo.value) is DomainError
+        assert str(excinfo.value) == (
+            f"RenderOptions needs curve_samples <= 65536 (got curve_samples = {value})"
+        )
