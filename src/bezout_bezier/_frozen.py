@@ -1,8 +1,9 @@
 """The base class of the package's immutable value types, the one store
 of their fields, their integer field check with its floor, its ceiling and
-the supported range, their real-number field check and their check that a
-field is an instance of its class, the text their error messages give
-a value, and the row chunks that streamed output is written in.
+the supported range, their real-number field check, their check that a
+field is an instance of its class, the one check that a disk of
+neighbors stays in the supported range, the text their error messages
+give a value, and the row chunks that streamed output is written in.
 
 This module imports nothing heavy, so a command that writes rows in
 chunks without building an envelope (neighbors) gets ``chunked``
@@ -17,8 +18,9 @@ from .errors import DomainError
 CHUNK_ROWS = 2048
 
 # The documented supported range: the integer fields that opt in
-# (Center, CoprimePair, QuadBezier, RenderOptions.width_px),
-# EnvelopeParams and coprime_neighbors refuse values beyond it.
+# (Center, CoprimePair, QuadBezier, RenderOptions.width_px) refuse
+# values beyond it, and EnvelopeParams and coprime_neighbors a disk
+# that reaches beyond it (require_disk).
 INT_RANGE = 2**31
 
 
@@ -64,6 +66,19 @@ def require_int(
         )
     if in_range and value > INT_RANGE:
         raise DomainError(f"{name} = {show(value)} exceeds the supported range 2**31")
+
+
+def require_disk(p: int, q: int, radius, name: str) -> None:
+    """Raise DomainError unless p + radius <= INT_RANGE and
+    q + radius <= INT_RANGE, so that every lattice point of the disk of
+    `radius` around (p, q) stays in the supported range.  The message
+    names p, q and the radius by the caller's own `name` for it."""
+    if p + radius > INT_RANGE or q + radius > INT_RANGE:
+        raise DomainError(
+            f"requires p + {name} <= 2**31 and q + {name} <= 2**31 so that every "
+            "neighbor stays in the supported range "
+            f"(got p = {show(p)}, q = {show(q)} and {name} = {show(radius)})"
+        )
 
 
 def require_instance(owner: str, name: str, value, cls: type) -> None:

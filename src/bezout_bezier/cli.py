@@ -21,10 +21,10 @@ written so far.
 
 Each command imports the modules it runs when it runs: ``bezout`` and
 ``neighbors`` load none of envelope, geometry and io_render, ``verify``,
-``audit-sweep`` and ``envelope --format text`` load envelope and
-geometry, and only the csv and svg formats of ``envelope``, and a
-render flag that is given (RenderOptions checks it at parse time),
-load io_render.
+``audit-sweep`` and ``envelope --format text`` load envelope alone,
+only the csv and svg formats of ``envelope``, and a render flag that is
+given (RenderOptions checks it at parse time), load io_render, and only
+an SVG overlay (``--show-curve``, ``--show-controls``) loads geometry.
 """
 
 from __future__ import annotations

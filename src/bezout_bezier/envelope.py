@@ -14,9 +14,9 @@ import math
 from collections.abc import Sequence
 
 from . import _kernels_py as kernels
-from ._frozen import Frozen, require_instance, require_number, setfields, show
+from ._frozen import Frozen, require_disk, require_instance, require_number
+from ._frozen import setfields, show
 from .errors import DomainError, HypothesisError
-from .geometry import Point2, Segment
 from .numtheory import (
     INT_RANGE,
     BezoutCoeffs,
@@ -31,13 +31,15 @@ class EnvelopeParams(Frozen):
 
     Requires p > 3, 0 <= q < p and 1 < epsilon <= ||(p, q)|| / 2, and
     p + epsilon <= 2**31 so that every neighbor stays in the supported
-    integer range (q < p makes the bound on q follow).  epsilon must be
-    an int or a float, not a bool (``require_number``); a nan or an
-    infinite epsilon fails one of the bounds.  radius = epsilon - 1, the
-    enumeration radius for the deviation bound.
+    integer range (``require_disk``, whose bound on q follows here from
+    q < p).  epsilon must be an int or a float, not a bool
+    (``require_number``); a nan or an infinite epsilon fails one of the
+    bounds.  radius = epsilon - 1, the enumeration radius for the
+    deviation bound, and gap_limit = ``_kernels_py.disk_limit(epsilon)``,
+    the squared distance up to which ``endpoint_gaps`` takes a pair.
     """
 
-    __slots__ = ("center", "epsilon", "radius")
+    __slots__ = ("center", "epsilon", "radius", "gap_limit")
     _fields = ("center", "epsilon")
     center: Center
     epsilon: float
@@ -60,12 +62,8 @@ class EnvelopeParams(Frozen):
                 f"requires epsilon <= ||(p,q)||/2 = {half_norm} "
                 f"(got epsilon = {show(epsilon)})"
             )
-        if p + epsilon > INT_RANGE:
-            raise DomainError(
-                f"requires p + epsilon <= 2**31 "
-                f"(got p = {p} and epsilon = {epsilon})"
-            )
-        setfields(self, center, epsilon, epsilon - 1.0)
+        require_disk(p, q, epsilon, "epsilon")
+        setfields(self, center, epsilon, epsilon - 1.0, kernels.disk_limit(epsilon))
 
 
 class EnvelopeRecord(Frozen):
@@ -110,8 +108,15 @@ class EnvelopeRecord(Frozen):
     degenerate = property(lambda self: self._row[0] == self._row[1])
 
 
-def _segment(row: tuple) -> Segment:
-    """The segment from B(r, s) to B(s, r) of a kernel row, as real points."""
+def _segment(row: tuple):
+    """The segment from B(r, s) to B(s, r) of a kernel row, as a
+    geometry.Segment of real points.
+
+    geometry is loaded here, on the first segment, so that a run that
+    makes none (verify, audit-sweep, text and CSV) never compiles it.
+    """
+    from .geometry import Point2, Segment
+
     _, _, a, b, af, bf = row[:6]
     return Segment(Point2(float(a), float(b)), Point2(float(af), float(bf)))
 
@@ -271,8 +276,9 @@ class SweepResult(Frozen):
             setfields(self, center, epsilon, VerificationReport(params), None)
 
 
-def bezout_segment(pair: CoprimePair) -> Segment:
-    """The segment from B(r, s) to B(s, r), as real points."""
+def bezout_segment(pair: CoprimePair):
+    """The segment from B(r, s) to B(s, r), as a geometry.Segment of
+    real points."""
     require_instance("bezout_segment", "pair", pair, CoprimePair)
     return _segment(kernels.pair_row(pair.r, pair.s, pair.r, pair.s))
 
@@ -294,8 +300,9 @@ def endpoint_gaps(pair: CoprimePair, params: EnvelopeParams) -> tuple[float, flo
 
     gap_alpha = ||B(r,s) - alpha(t0)|| and gap_beta = ||B(s,r) - beta(t0)||
     at t0 = contact_parameter(pair).  Requires the pair to lie within
-    distance epsilon of the center, by the kernels' integer disk rule
-    ``_kernels_py.disk_limit``; both gaps are then below epsilon + 1.
+    distance epsilon of the center, by the kernels' integer disk rule:
+    its squared distance at most params.gap_limit
+    (``_kernels_py.disk_limit``); both gaps are then below epsilon + 1.
     The squared distance is exact but epsilon**2 is rounded, so a pair
     within half an ulp of the circle can fall on either side of it.
     """
@@ -304,7 +311,7 @@ def endpoint_gaps(pair: CoprimePair, params: EnvelopeParams) -> tuple[float, flo
     p, q = params.center.p, params.center.q
     r, s = pair.r, pair.s
     dr, ds = r - p, s - q
-    if dr * dr + ds * ds > kernels.disk_limit(params.epsilon):
+    if dr * dr + ds * ds > params.gap_limit:
         raise HypothesisError(
             f"requires ||(r,s)-(p,q)|| <= epsilon (pair ({r}, {s}) lies "
             f"{math.hypot(dr, ds)} from ({p}, {q}) with epsilon = "

@@ -24,7 +24,6 @@ from ._frozen import CHUNK_ROWS, Frozen, chunked, setfields, show
 from ._frozen import require_instance, require_int, require_number
 from .envelope import VerificationReport
 from .errors import DomainError
-from .geometry import QuadBezier, quad_point
 
 CSV_HEADER = (
     "r,s,a_rs,b_rs,a_sr,b_sr,t_contact,x1,y1,x2,y2,"
@@ -113,7 +112,6 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
     require_instance("svg_chunks", "report", report, VerificationReport)
     require_instance("svg_chunks", "opts", opts, RenderOptions)
     p, q = report.params.center.p, report.params.center.q
-    curve = QuadBezier(p, q)
     # The box starts at the origin: it is a control point, and every
     # other coordinate is >= 0 (p > q >= 0, and the normalization box
     # keeps all coefficients >= 0).  Its far corner comes from the
@@ -153,6 +151,12 @@ def svg_chunks(report: VerificationReport, opts: RenderOptions = RenderOptions()
             line % (a, b, af, bf) for _, _, a, b, af, bf, _, _, _, _ in chunk
         ])
     trailer = []
+    # geometry is loaded only for an overlay, so a plain document never
+    # compiles it
+    if opts.show_controls or opts.show_curve:
+        from .geometry import QuadBezier, quad_point
+
+        curve = QuadBezier(p, q)
     if opts.show_controls:
         marker_r = _coord(0.005 * diagonal)
         for pt in curve.control_points():

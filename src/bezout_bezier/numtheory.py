@@ -12,8 +12,8 @@ import math
 from itertools import chain, starmap
 
 from . import _kernels_py as kernels
-from ._frozen import INT_RANGE, Frozen, require_instance, require_int, require_number
-from ._frozen import setfields, show
+from ._frozen import INT_RANGE, Frozen, require_disk, require_instance, require_int
+from ._frozen import require_number, setfields, show
 from .errors import DomainError
 
 
@@ -132,15 +132,14 @@ def flip_bezout(coeffs: BezoutCoeffs) -> BezoutCoeffs:
 
 
 def extend_pair(coeffs: BezoutCoeffs) -> CoprimePair:
-    """The coprime pair (b+q, a+p), whose coefficients are exactly (q, p)."""
+    """The coprime pair (b+q, a+p), whose coefficients are exactly (q, p).
+
+    An entry beyond the supported range 2**31 raises DomainError, as
+    CoprimePair does.
+    """
     require_instance("extend_pair", "coeffs", coeffs, BezoutCoeffs)
     p, q = coeffs.pair.r, coeffs.pair.s
-    r, s = coeffs.b + q, coeffs.a + p
-    if r > INT_RANGE or s > INT_RANGE:
-        raise OverflowError(
-            f"extended pair ({r}, {s}) exceeds the supported range 2**31"
-        )
-    return CoprimePair(r, s)
+    return CoprimePair(coeffs.b + q, coeffs.a + p)
 
 
 def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
@@ -154,18 +153,15 @@ def coprime_neighbors(center: Center, radius: float) -> list[CoprimePair]:
     valid result.  The kernel's pairs are checked in bulk for everything
     CoprimePair checks one at a time (entries in [1, 2**31], gcd 1), at
     C speed; a pair that fails raises DomainError naming it.  `radius`
-    is an int or a float, not a bool (``require_number``), and at least
-    0; anything else raises DomainError.
+    is an int or a float, not a bool (``require_number``), at least 0,
+    and keeps the disk in the supported range (``require_disk``);
+    anything else raises DomainError.
     """
     require_instance("coprime_neighbors", "center", center, Center)
     require_number("radius", radius)
     if not radius >= 0:
         raise DomainError(f"radius must be nonnegative (got {show(radius)})")
-    if center.p + radius > INT_RANGE or center.q + radius > INT_RANGE:
-        raise DomainError(
-            "neighborhood extends beyond the supported range 2**31 "
-            f"(got p = {center.p}, q = {center.q} and radius = {show(radius)})"
-        )
+    require_disk(center.p, center.q, radius, "radius")
     pairs = kernels.coprime_pairs_in_disk(center.p, center.q, radius)
     entries = list(chain.from_iterable(pairs))
     if entries and (

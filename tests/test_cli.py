@@ -40,6 +40,29 @@ def cli_env(unbuffered: bool) -> dict:
     return env
 
 
+def range_top_error(name: str, got: str) -> str:
+    """The one message of a disk that leaves the supported range."""
+    return (
+        f"requires p + {name} <= 2**31 and q + {name} <= 2**31 so that every "
+        f"neighbor stays in the supported range (got {got})"
+    )
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The centers (p, q) that the two kernel scans run on in the test,
+    which still runs the real scans."""
+    centers = []
+    for name in ("envelope_scan", "coprime_pairs_in_disk"):
+
+        def spy(p, q, radius, scan=getattr(_kernels_py, name)):
+            centers.append((p, q))
+            return scan(p, q, radius)
+
+        monkeypatch.setattr(_kernels_py, name, spy)
+    return centers
+
+
 def read_one_line_then_close(argv, unbuffered):
     """Run the CLI, read one line of stdout, close the pipe and wait.
 
@@ -137,15 +160,28 @@ class TestNeighbors:
             ("10", "5", "inf", "radius = inf"),
         ],
     )
-    def test_range_top_names_the_input(self, capsys, p, q, radius, shown):
+    def test_range_top_names_the_input(self, capsys, scans, p, q, radius, shown):
         code, out, err = run(capsys, "neighbors", p, q, radius)
         assert code == EXIT_DOMAIN
         assert out == ""
-        assert "supported range 2**31" in err
-        assert f"p = {p}, q = {q}" in err and shown in err
+        assert err == (
+            "error: " + range_top_error("radius", f"p = {p}, q = {q} and {shown}") + "\n"
+        )
+        assert scans == []
 
 
 class TestEnvelope:
+    def test_range_top_names_the_input(self, capsys, scans):
+        code, out, err = run(
+            capsys, "envelope", "2147483648", "2147483647", "3", "--format", "csv"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: " + range_top_error(
+            "epsilon", "p = 2147483648, q = 2147483647 and epsilon = 3.0"
+        ) + "\n"
+        assert scans == []
+
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run(capsys, "envelope", "300", "21", "2", "--format", "csv")
         assert code == EXIT_OK
@@ -431,14 +467,15 @@ class TestVerify:
         assert code == EXIT_DOMAIN
         assert "epsilon > 1" in err
 
-    def test_range_top_names_the_input(self, capsys):
+    def test_range_top_names_the_input(self, capsys, scans):
         # the disk around (2**31, 2**31 - 1) would hold s = 2**31 + 1
         code, out, err = run(capsys, "verify", "2147483648", "2147483647", "3")
         assert code == EXIT_DOMAIN
         assert out == ""
-        assert "p + epsilon <= 2**31" in err
-        assert "p = 2147483648" in err and "epsilon = 3.0" in err
-        assert "2147483649" not in err
+        assert err == "error: " + range_top_error(
+            "epsilon", "p = 2147483648, q = 2147483647 and epsilon = 3.0"
+        ) + "\n"
+        assert scans == []
 
 
 class TestRealBoundFailure:
@@ -548,7 +585,7 @@ class TestAuditSweep:
         assert "q < p" in lines[2]
         assert lines[3].startswith("10,3,0.5,,,,skipped: ")
 
-    def test_out_of_range_row_is_skipped(self, capsys, tmp_path):
+    def test_out_of_range_row_is_skipped(self, capsys, scans, tmp_path):
         spec = tmp_path / "sweep.txt"
         spec.write_text(
             "10 3 2\n2147483648 2147483647 3\n300 21 2\n", encoding="utf-8"
@@ -558,9 +595,12 @@ class TestAuditSweep:
         lines = out.splitlines()
         assert len(lines) == 4
         assert lines[1].startswith("10,3,2,2,")
-        assert lines[2].startswith("2147483648,2147483647,3,,,,skipped: ")
-        assert "p + epsilon <= 2**31" in lines[2]
+        assert lines[2] == "2147483648,2147483647,3,,,,skipped: " + range_top_error(
+            "epsilon", "p = 2147483648; q = 2147483647 and epsilon = 3.0"
+        )
         assert lines[3].startswith("300,21,2,1,")
+        # the refused row scans nothing; its neighbors still run
+        assert scans == [(10, 3), (300, 21)]
 
     def test_rows_center_refuses_are_skipped(self, capsys, tmp_path):
         spec = tmp_path / "sweep.txt"
@@ -639,7 +679,7 @@ class TestAuditSweep:
         code, out, _ = run(capsys, "audit-sweep", str(spec))
         assert code == EXIT_OK
         assert sha256(out.encode()) == (
-            "31bc6e87ad5cd2bb8c97390028495db443d3ef2a4e6ba90e585c81eaa8eb922c"
+            "c8af2fc877a3dd3aafb7da4be4d8b93da706bc48ed53b4349288b222dee362d5"
         )
 
     def test_rows_are_written_as_they_are_done(self, monkeypatch, tmp_path):

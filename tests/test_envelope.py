@@ -30,7 +30,7 @@ from bezout_bezier import (
     to_csv,
 )
 
-from bezout_bezier import envelope
+from bezout_bezier import _kernels_py, envelope
 from bezout_bezier.envelope import EnvelopeRecords
 from oracles import bezout_solutions_by_search
 
@@ -68,8 +68,20 @@ class TestEnvelopeParams:
         EnvelopeParams(Center(2**31 - 8, 2**31 - 9), 8.0)  # boundary is allowed
         with pytest.raises(DomainError, match=r"p \+ epsilon <= 2\*\*31"):
             EnvelopeParams(Center(2**31 - 8, 2**31 - 9), 8.5)
-        with pytest.raises(DomainError, match="p = 2147483648 and epsilon = 3"):
+        with pytest.raises(DomainError) as excinfo:
             EnvelopeParams(Center(2**31, 2**31 - 1), 3.0)
+        assert str(excinfo.value) == (
+            "requires p + epsilon <= 2**31 and q + epsilon <= 2**31 so that every "
+            "neighbor stays in the supported range "
+            "(got p = 2147483648, q = 2147483647 and epsilon = 3.0)"
+        )
+
+    @pytest.mark.parametrize("epsilon", [300000003.0, 300000001.0])
+    def test_gap_limit_is_the_disk_rule(self, epsilon):
+        # the kernels' rounded limit, set once: epsilon**2 rounds up at the
+        # first and down at the second (tests/test_kernels.py)
+        params = EnvelopeParams(Center(600000016, 0), epsilon)
+        assert params.gap_limit == _kernels_py.disk_limit(epsilon)
 
 
 class TestBezoutSegment:

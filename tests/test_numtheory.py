@@ -173,11 +173,14 @@ class TestExtendPair:
 
     def test_overflow(self):
         # 2**31 - 1 is prime, so the pair below is coprime; extending
-        # pushes a + p past the supported range
+        # pushes b + q past the supported range, which CoprimePair refuses
         top = INT_RANGE - 1
         coeffs = bezout_coefficients(CoprimePair(top, top - 1))
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError) as excinfo:
             extend_pair(coeffs)
+        assert str(excinfo.value) == (
+            "r = 4294967291 exceeds the supported range 2**31"
+        )
 
 
 class TestCoprimeNeighbors:
@@ -239,10 +242,12 @@ class TestCoprimeNeighbors:
     @pytest.mark.parametrize(
         "radius, message",
         [
-            (10**400, "neighborhood extends beyond the supported range 2**31 "
+            (10**400, "requires p + radius <= 2**31 and q + radius <= 2**31 so "
+                      "that every neighbor stays in the supported range "
                       f"(got p = 10, q = 3 and radius = {10**400})"),
             (-10**400, f"radius must be nonnegative (got {-10**400})"),
-            (10**5000, "neighborhood extends beyond the supported range 2**31 "
+            (10**5000, "requires p + radius <= 2**31 and q + radius <= 2**31 so "
+                       "that every neighbor stays in the supported range "
                        "(got p = 10, q = 3 and radius = <16610-bit integer>)"),
         ],
         ids=["10**400", "-10**400", "10**5000"],

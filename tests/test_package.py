@@ -80,8 +80,10 @@ def test_unknown_name_raises_attribute_error(name):
     assert out == f"module 'bezout_bezier' has no attribute '{name}'\n"
 
 
-# which of LAZY a command loads: none, the two an envelope needs, or all
-NONE, ENVELOPE, ALL = [False, False, False], [True, True, False], [True, True, True]
+# which of LAZY a command loads: none, envelope alone, envelope and
+# io_render to write it, or all three to draw an overlay
+NONE, ENVELOPE = [False, False, False], [True, False, False]
+WRITE, ALL = [True, False, True], [True, True, True]
 
 
 @pytest.mark.parametrize(
@@ -96,15 +98,19 @@ NONE, ENVELOPE, ALL = [False, False, False], [True, True, False], [True, True, T
             id="envelope-text",
         ),
         pytest.param(
-            ["envelope", "300", "21", "2", "--format", "csv"], ALL, id="envelope-csv"
+            ["envelope", "300", "21", "2", "--format", "csv"], WRITE, id="envelope-csv"
         ),
         pytest.param(
-            ["envelope", "300", "21", "2", "--format", "svg"], ALL, id="envelope-svg"
+            ["envelope", "300", "21", "2", "--format", "svg"], WRITE, id="envelope-svg"
+        ),
+        pytest.param(
+            ["envelope", "300", "21", "2", "--format", "svg", "--show-curve"], ALL,
+            id="envelope-svg-curve",
         ),
     ],
 )
 def test_cli_loads_only_what_the_command_runs(argv, loads, tmp_path):
-    # the SVG run shows that the check can fail
+    # the --show-curve run shows that the check sees every module loaded
     spec = tmp_path / "sweep.txt"
     spec.write_text("300 21 2\n10 3 0.5\n", encoding="utf-8")
     argv = [arg.format(spec=spec) for arg in argv]

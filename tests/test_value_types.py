@@ -249,7 +249,7 @@ def test_pickle_and_copy_round_trips(case):
 # derives from the fields
 DERIVED = {
     "QuadBezier": ("is_degenerate",),
-    "EnvelopeParams": ("radius",),
+    "EnvelopeParams": ("radius", "gap_limit"),
     "EnvelopeRecord": ("_row",),
     "EnvelopeRecords": ("_rows",),
     "VerificationReport": (
@@ -405,8 +405,13 @@ _HUGE_TEXT = "<16610-bit integer>"
             f"(got epsilon = {10**400})",
             id="huge int epsilon",
         ),
-        (lambda: EnvelopeParams(Center(2**31, 2**31 - 1), 3.0), DomainError,
-         "requires p + epsilon <= 2**31 (got p = 2147483648 and epsilon = 3.0)"),
+        pytest.param(
+            lambda: EnvelopeParams(Center(2**31, 2**31 - 1), 3.0), DomainError,
+            "requires p + epsilon <= 2**31 and q + epsilon <= 2**31 so that every "
+            "neighbor stays in the supported range "
+            "(got p = 2147483648, q = 2147483647 and epsilon = 3.0)",
+            id="EnvelopeParams disk beyond the range",
+        ),
         (lambda: RenderOptions(width_px=15), DomainError,
          "RenderOptions needs width_px >= 16 (got width_px = 15)"),
         (lambda: RenderOptions(curve_samples=1), DomainError,
