@@ -30,7 +30,6 @@ _EXPORTS = {
     "envelope": (
         "EnvelopeParams",
         "EnvelopeRecord",
-        "SweepResult",
         "VerificationReport",
         "bezout_segment",
         "build_envelope",

@@ -32,7 +32,10 @@ each err by a factor of at most 1 + 2**-53 on a quotient below 1, and
 the subtraction by at most 2**-54, about 3.5 * 2**-53 in all.  The
 error of the gaps and of the deviation is not bounded here.  Callers
 validate inputs (positive, coprime where required, within the supported
-integer range, a nonnegative radius), so the kernels do not.
+integer range), so the kernels do not, with one exception that stays:
+``disk_limit`` returns -1 for a negative radius, since ``radius *
+radius`` would turn it into the limit of a real disk, and
+``_disk_rows`` then yields no row.
 """
 
 from math import floor, gcd, isqrt, sqrt
@@ -119,8 +122,10 @@ def _row(pf, qf, r, s, a):
     significant digits that the CSV and text formats print: at the
     centers (10**6, 2*10**5) and (10**6, 6*10**5) with epsilon = 10, 411
     of 447 and 402 of 444 of the printed gap and deviation texts differ
-    from the 12-digit text of the exact value.  That is a measurement,
-    not a bound.
+    from the 12-digit text of the exact value, '%.12g' % float(exact).
+    (The Decimal's own format(exact, '.12g') switches to exponent
+    notation below 1e-6, not below 1e-4, and would count 418 and 405.)
+    That is a measurement, not a bound.
     """
     b = (a * s - 1) // r
     af = s - b

@@ -309,28 +309,24 @@ def cmd_audit_sweep(args) -> tuple[int, Iterable[str]]:
 
 
 def _audit_row(p: int, q: int, eps: float) -> str:
-    from .envelope import SweepResult
+    """The summary row of one spec line, or its skip row if the center or
+    the hypotheses refuse it.  A kernel row that fails the report's
+    verification still raises DomainError, which ends the run (exit 2)."""
+    from .envelope import EnvelopeParams, build_envelope
 
     try:
-        center = Center(p, q)
-    except DomainError as exc:
-        return _skip_row(p, q, eps, str(exc))
-    result = SweepResult(center, eps)
-    if result.report is None:
-        return _skip_row(p, q, eps, result.skip_reason)
-    report = result.report
+        params = EnvelopeParams(Center(p, q), eps)
+    except (DomainError, HypothesisError) as exc:
+        # keep the row parseable as CSV: reasons must not introduce columns
+        reason = str(exc).replace(",", ";")
+        return f"{p},{q},{format_real(eps)},,,,skipped: {reason}\n"
+    report = build_envelope(params)
     slack = eps - report.max_deviation
     return (
         f"{p},{q},{format_real(eps)},{report.neighbor_count},"
         f"{format_real(report.max_deviation)},{format_real(slack)},"
         f"{'true' if report.all_bounds_hold else 'false'}\n"
     )
-
-
-def _skip_row(p: int, q: int, eps: float, reason: str) -> str:
-    # keep the row parseable as CSV: reasons must not introduce columns
-    reason = reason.replace(",", ";")
-    return f"{p},{q},{format_real(eps)},,,,skipped: {reason}\n"
 
 
 def main(argv=None) -> int:

@@ -249,33 +249,6 @@ def _fold(rows: Sequence[tuple], eps: float) -> tuple:
     return len(rows), all_ok, max_dev, max_gap, (x_max, y_max)
 
 
-class SweepResult(Frozen):
-    """One (center, epsilon) combination: its report, or why it was skipped.
-
-    SweepResult(center, epsilon) builds EnvelopeParams(center, epsilon).
-    If that raises DomainError or HypothesisError, skip_reason is the
-    error's message and report is None; otherwise report is
-    VerificationReport(params) and skip_reason is None.  Its fields are
-    the center and epsilon: it compares, hashes, prints, pickles and
-    copies as them, and unpickling or copying runs the combination again.
-    """
-
-    __slots__ = ("center", "epsilon", "report", "skip_reason")
-    _fields = ("center", "epsilon")
-    center: Center
-    epsilon: float
-    report: VerificationReport | None
-    skip_reason: str | None
-
-    def __init__(self, center: Center, epsilon: float):
-        try:
-            params = EnvelopeParams(center, epsilon)
-        except (DomainError, HypothesisError) as exc:
-            setfields(self, center, epsilon, None, str(exc))
-        else:
-            setfields(self, center, epsilon, VerificationReport(params), None)
-
-
 def bezout_segment(pair: CoprimePair):
     """The segment from B(r, s) to B(s, r), as a geometry.Segment of
     real points."""

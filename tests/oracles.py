@@ -6,6 +6,7 @@ were computed with these and frozen.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -124,3 +125,30 @@ def coprime_pairs_upto(limit):
         for q in range(1, limit + 1):
             if math.gcd(p, q) == 1:
                 yield p, q
+
+
+def _sqrt_60_digits(x):
+    """The square root of the nonnegative Fraction x, as a 60-digit Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+
+
+def gaps_and_deviation_exact(p, q, r, s, a, b):
+    """(gap_alpha, gap_beta, deviation) of the pair (r, s) for the center
+    (p, q), each as a 60-digit Decimal.
+
+    Every value before the square roots is an exact Fraction of the
+    integers: t = 1 - (a*r + b*s) / (r*r + s*s) and u = 1 - t, the
+    chord endpoints u*(p, q) and t*(q, p), the segment point
+    u*(a, b) + t*(a_flip, b_flip) and the curve point
+    u*u*(p, q) + t*t*(q, p), with (a_flip, b_flip) = (s - b, r - a).
+    """
+    t = contact_parameter_exact(r, s, a, b)
+    u = 1 - t
+    af, bf = s - b, r - a
+    gap_a = (a - u * p) ** 2 + (b - u * q) ** 2
+    gap_b = (af - t * q) ** 2 + (bf - t * p) ** 2
+    dx = u * a + t * af - (u * u * p + t * t * q)
+    dy = u * b + t * bf - (u * u * q + t * t * p)
+    return tuple(map(_sqrt_60_digits, (gap_a, gap_b, dx * dx + dy * dy)))

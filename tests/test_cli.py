@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,17 +11,19 @@ import tracemalloc
 import pytest
 
 import bezout_bezier
-from bezout_bezier import Center, EnvelopeParams, build_envelope, to_csv, to_svg
-from bezout_bezier import _kernels_py, envelope
+from bezout_bezier import Center, DomainError, EnvelopeParams, HypothesisError
+from bezout_bezier import _kernels_py, build_envelope, envelope, to_csv, to_svg
 from bezout_bezier.cli import (
     AUDIT_HEADER,
     EXIT_BOUND_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
+    format_real,
     main,
 )
 from bezout_bezier.io_render import CSV_HEADER, RenderOptions
+from oracles import gaps_and_deviation_exact
 
 
 def run(capsys, *argv):
@@ -467,6 +470,18 @@ class TestVerify:
         assert code == EXIT_DOMAIN
         assert "epsilon > 1" in err
 
+    def test_printed_max_deviation_is_not_the_exact_one(self, capsys):
+        # README's example: the last digits of a large center's deviation
+        # are rounding noise
+        _, out, _ = run(capsys, "verify", "1000000", "600000", "10")
+        assert "max_deviation: 8.19648889937\n" in out
+        p, q = 10**6, 6 * 10**5
+        exact = max(
+            gaps_and_deviation_exact(p, q, *row[:4])[2]
+            for row in _kernels_py.envelope_scan(p, q, 9.0)
+        )
+        assert "%.12g" % float(exact) == "8.19648889956"
+
     def test_range_top_names_the_input(self, capsys, scans):
         # the disk around (2**31, 2**31 - 1) would hold s = 2**31 + 1
         code, out, err = run(capsys, "verify", "2147483648", "2147483647", "3")
@@ -563,6 +578,55 @@ class TestFailedStdoutWrite:
 
 
 class TestAuditSweep:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "10 3 2",
+            "12 5 3",
+            "300 21 1.5",
+            "10 3 0.5",
+            "4 7 2",
+            "0 5 2",
+            "2147483648 2147483647 3",
+            "10 3 nan",
+            "10 3 inf",
+        ],
+    )
+    def test_row_is_the_summary_or_the_skip_reason(self, capsys, tmp_path, line):
+        spec = tmp_path / "sweep.txt"
+        spec.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "audit-sweep", str(spec))
+        assert (code, err) == (EXIT_OK, "")
+        header, row = out.splitlines()
+        p, q, eps = line.split()
+        p, q, eps = int(p), int(q), float(eps)
+        try:
+            report = build_envelope(EnvelopeParams(Center(p, q), eps))
+        except (DomainError, HypothesisError) as exc:
+            summary = ["", "", "", "skipped: " + str(exc).replace(",", ";")]
+        else:
+            summary = [
+                str(report.neighbor_count),
+                format_real(report.max_deviation),
+                format_real(eps - report.max_deviation),
+                "true" if report.all_bounds_hold else "false",
+            ]
+        assert row.split(",") == line.split() + summary
+
+    def test_row_that_fails_the_fold_ends_the_run(self, capsys, monkeypatch, tmp_path):
+        # the skip rule covers the center and the hypotheses, not the
+        # kernel: a row that breaks the Bezout identity is exit 2
+        spec = tmp_path / "sweep.txt"
+        spec.write_text("10 3 0.5\n10 3 2\n", encoding="utf-8")
+        broken = (10, 3, 6, 2, 1, 4, 0.5, 0.1, 0.1, 0.1)  # 6*3 - 2*10 != 1
+        monkeypatch.setattr(_kernels_py, "envelope_scan", lambda p, q, radius: [broken])
+        code, out, err = run(capsys, "audit-sweep", str(spec))
+        assert code == EXIT_DOMAIN
+        assert out.splitlines()[1:] == [
+            "10,3,0.5,,,,skipped: requires epsilon > 1 (got epsilon = 0.5)"
+        ]
+        assert err.startswith("error: ") and "(10, 3)" in err
+
     def test_mixed_spec(self, capsys, tmp_path):
         spec = tmp_path / "sweep.txt"
         spec.write_text(
@@ -687,13 +751,13 @@ class TestAuditSweep:
         spec.write_text("10 3 2\n300 21 2\n", encoding="utf-8")
         out = io.StringIO()
         written_before = []
-        real_sweep_result = envelope.SweepResult
+        real_build_envelope = envelope.build_envelope
 
-        def spy(center, eps):
+        def spy(params):
             written_before.append(out.getvalue())
-            return real_sweep_result(center, eps)
+            return real_build_envelope(params)
 
-        monkeypatch.setattr(envelope, "SweepResult", spy)
+        monkeypatch.setattr(envelope, "build_envelope", spy)
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["audit-sweep", str(spec)]) == EXIT_OK
         header, first, _ = out.getvalue().splitlines(keepends=True)
@@ -867,6 +931,83 @@ class TestParsing:
         err = capsys.readouterr().err
         assert "got x" in err
         assert not re.search(r"\b_\w", err), err
+
+
+class _DiskTooBig(Exception):
+    """A scan of a disk larger than the fuzz lets the kernels run."""
+
+
+# Inputs at and beyond the limits: zero, the top of the 2**31 range, a
+# 401-digit integer, digit grouping, a non-ASCII digit, the floats that
+# are not finite and those that overflow or underflow.
+FUZZ_INTS = (
+    "0", "2147483647", "2147483648", "2147483649", "1" + "0" * 400, "1_000",
+    "\u0663",
+)
+FUZZ_VALUES = FUZZ_INTS + ("nan", "inf", "-inf", "1e400", "1e-320")
+FUZZ_FLAGS = ("--width-px", "--curve-samples", "--stroke-width-fraction")
+
+
+def _fuzz_values(rng: random.Random, count: int) -> list:
+    """p and q, mostly integer texts so that most runs get past parsing,
+    then count - 2 values of any kind."""
+    return [
+        rng.choice(FUZZ_INTS if i < 2 and rng.random() < 0.9 else FUZZ_VALUES)
+        for i in range(count)
+    ]
+
+
+def _fuzz_argv(rng: random.Random, spec_path: str) -> list:
+    command = rng.choice(("bezout", "neighbors", "envelope", "verify", "audit-sweep"))
+    if command == "audit-sweep":
+        return [command, spec_path]
+    argv = [command, *_fuzz_values(rng, 2 if command == "bezout" else 3)]
+    if command == "envelope":
+        argv += ["--format", rng.choice(("csv", "svg", "text"))]
+        for flag in rng.sample(FUZZ_FLAGS, rng.randrange(len(FUZZ_FLAGS) + 1)):
+            argv += [flag, rng.choice(FUZZ_VALUES)]
+        argv += rng.sample(("--show-curve", "--show-controls"), rng.randrange(3))
+    return argv
+
+
+def test_argv_fuzz_exits_with_a_documented_code(capsys, monkeypatch, tmp_path):
+    # Every argv must end with one of the exit codes 0-3.  A scan of more
+    # than 2500 squared units raises _DiskTooBig before the kernel builds
+    # anything: the CLI has no work budget yet, so such a run counts here
+    # as the guard's and not as a failure.
+    real_disk_rows = _kernels_py._disk_rows
+
+    def guarded(p, q, radius):
+        if _kernels_py.disk_limit(radius) > 2500:
+            raise _DiskTooBig(p, q, radius)
+        return real_disk_rows(p, q, radius)
+
+    monkeypatch.setattr(_kernels_py, "_disk_rows", guarded)
+    rng = random.Random(20201)
+    spec = tmp_path / "sweep.txt"
+    outcomes = set()
+    for _ in range(1000):
+        spec.write_text(
+            "".join(
+                " ".join(_fuzz_values(rng, 3)) + "\n"
+                for _ in range(rng.randrange(1, 4))
+            ),
+            encoding="utf-8",
+        )
+        argv = _fuzz_argv(rng, str(spec))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _DiskTooBig:
+            code = "guard"
+        except Exception as exc:
+            pytest.fail(f"{argv!r} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, "guard"), argv
+        outcomes.add(code)
+    # the draws reach the commands' work, not only the parser
+    assert {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN} <= outcomes
 
 
 def test_module_entry_point():

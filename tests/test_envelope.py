@@ -16,7 +16,6 @@ from bezout_bezier import (
     Point2,
     QuadBezier,
     Segment,
-    SweepResult,
     VerificationReport,
     bezout_coefficients,
     bezout_segment,
@@ -301,76 +300,6 @@ class TestEndpointGapBound:
                         gap_a, gap_b = endpoint_gaps(pair, params)
                         assert gap_a < eps + 1.0
                         assert gap_b < eps + 1.0
-
-
-class TestSweepResult:
-    """SweepResult(center, epsilon) runs its own combination."""
-
-    COMBOS = [
-        (Center(10, 3), 2.0),
-        (Center(12, 5), 3),
-        (Center(300, 21), 1.5),
-        (Center(10, 3), 0.5),
-        (Center(4, 7), 2.0),
-        (Center(2**31, 2**31 - 1), 3.0),
-        (Center(10, 3), math.nan),
-        (Center(10, 3), math.inf),
-        (Center(10, 3), True),
-        (Center(10, 3), "2"),
-        ((10, 3), 2.0),
-    ]
-
-    @pytest.mark.parametrize("center, epsilon", COMBOS, ids=repr)
-    def test_exactly_one_of_report_and_reason(self, center, epsilon):
-        result = SweepResult(center, epsilon)
-        assert (result.report is None) != (result.skip_reason is None)
-        assert (result.center, result.epsilon) == (center, epsilon)
-        try:
-            params = EnvelopeParams(center, epsilon)
-        except (DomainError, HypothesisError) as exc:
-            assert result.report is None
-            assert result.skip_reason == str(exc)
-        else:
-            assert result.report.params == params
-            assert result.report.rows == build_envelope(params).rows
-
-    def test_report_equals_build_envelope(self):
-        result = SweepResult(Center(12, 5), 2.0)
-        direct = build_envelope(EnvelopeParams(Center(12, 5), 2.0))
-        assert result.report == direct
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            (Center(10, 3), 0.5, None, None),
-            (Center(99, 3), 7.0, build_envelope(EnvelopeParams(Center(10, 3), 2.0)),
-             "bogus"),
-        ],
-        ids=["no report and no reason", "a foreign report and a reason"],
-    )
-    def test_no_caller_made_result(self, args):
-        with pytest.raises(TypeError):
-            SweepResult(*args)
-
-    def test_scans_once_and_compares_without_scanning(self, monkeypatch):
-        calls = []
-        real_scan = envelope.kernels.envelope_scan
-
-        def counting_scan(p, q, radius):
-            calls.append((p, q, radius))
-            return real_scan(p, q, radius)
-
-        monkeypatch.setattr(envelope.kernels, "envelope_scan", counting_scan)
-        a = SweepResult(Center(10, 3), 2.0)
-        assert calls == [(10, 3, 1.0)]
-        b = SweepResult(Center(10, 3), 2.0)
-        skip = SweepResult(Center(10, 3), 0.5)
-        assert len(calls) == 2  # a skip scans nothing
-        assert a == b and hash(a) == hash(b) and a != skip
-        assert len(calls) == 2
-        # unpickling or copying runs the combination again
-        assert pickle.loads(pickle.dumps(a)) == a and copy.copy(a) == a
-        assert len(calls) == 4
 
 
 class TestBulkVerification:

@@ -22,6 +22,7 @@ from bezout_bezier import (
 from oracles import (
     contact_parameter_exact,
     envelope_scan_by_pairs,
+    gaps_and_deviation_exact,
     neighbors_by_bbox_scan,
 )
 
@@ -280,4 +281,24 @@ def test_report_summary_is_a_fold_over_the_records(p, q, radius):
             max(max(map(itemgetter(i), rows), default=0) for i in columns)
             for columns in ((2, 4), (3, 5))
         ),
+    )
+
+
+@pytest.mark.parametrize(
+    "p, q, texts, wrong, wrong_by_decimal_format",
+    [(10**6, 2 * 10**5, 447, 411, 418), (10**6, 6 * 10**5, 444, 402, 405)],
+)
+def test_printed_gap_and_deviation_digits(p, q, texts, wrong, wrong_by_decimal_format):
+    # the counts that README and _row's docstring state, at epsilon = 10:
+    # a printed text is wrong if it differs from '%.12g' % float(exact);
+    # the Decimal's own '.12g' format turns to exponent notation below
+    # 1e-6, not 1e-4, and so counts a few right texts as wrong
+    printed, exact = [], []
+    for row in _kernels_py.envelope_scan(p, q, 9.0):
+        printed += ["%.12g" % value for value in row[7:]]
+        exact += gaps_and_deviation_exact(p, q, *row[:4])
+    assert len(printed) == texts
+    assert sum(a != "%.12g" % float(b) for a, b in zip(printed, exact)) == wrong
+    assert sum(a != format(b, ".12g") for a, b in zip(printed, exact)) == (
+        wrong_by_decimal_format
     )

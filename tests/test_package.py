@@ -67,7 +67,8 @@ def test_submodule_resolves_on_first_touch():
 
 
 @pytest.mark.parametrize(
-    "name", ["no_such_name", "__wrapped__", "sweep_one", "audit_sweep"]
+    "name",
+    ["no_such_name", "__wrapped__", "sweep_one", "audit_sweep", "SweepResult"],
 )
 def test_unknown_name_raises_attribute_error(name):
     out = fresh(

@@ -26,7 +26,6 @@ from bezout_bezier import (
     QuadBezier,
     RenderOptions,
     Segment,
-    SweepResult,
     VerificationReport,
     _kernels_py,
     bezout_coefficients,
@@ -118,12 +117,6 @@ CASES = {
         lambda: VerificationReport(EnvelopeParams(Center(10, 3), 2.0)),
         VerificationReport(EnvelopeParams(Center(10, 3), 2.5)),
         f"VerificationReport(params={_PARAMS_REPR})",
-    ),
-    "SweepResult": (
-        ("center", "epsilon"),
-        lambda: SweepResult(Center(10, 3), 0.5),
-        SweepResult(Center(10, 3), 2.0),
-        "SweepResult(center=Center(p=10, q=3), epsilon=0.5)",
     ),
     "RenderOptions": (
         (
@@ -256,7 +249,6 @@ DERIVED = {
         "records", "rows", "neighbor_count", "all_bounds_hold", "max_deviation",
         "max_endpoint_gap", "extent",
     ),
-    "SweepResult": ("report", "skip_reason"),
 }
 
 
