@@ -117,7 +117,8 @@ class Frozen:
     holds a derived value: the constructor computes it from the fields
     and sets it once, in the same ``setfields`` call, and it is as
     read-only as a field.  Only EnvelopeRecord derives values on read,
-    from its kernel row.  Instances compare
+    from its kernel row, and VerificationReport its records, from its
+    rows.  Instances compare
     equal only to instances of the same class with equal fields, hash
     as the tuple of their fields, print as ``Name(field=value, ...)``,
     refuse assignment and deletion with AttributeError, and pickle and

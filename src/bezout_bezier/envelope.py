@@ -4,8 +4,9 @@ For a center (p, q) and tolerance epsilon, every coprime pair (r, s)
 within distance epsilon - 1 contributes the segment joining the Bezout
 coefficients of (r, s) and (s, r).  At its contact parameter that
 segment passes within epsilon of the quadratic Bezier curve for
-(p, q), (0, 0), (q, p); this module measures the actual deviations and
-aggregates them into a report.
+(p, q), (0, 0), (q, p); this module measures the actual deviations.
+One scan of the disk gives one VerificationReport: the sequence of the
+records of its rows, verified and aggregated into a summary.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class EnvelopeRecord(Frozen):
     properties of the row; the objects among them (pair, coeffs,
     flipped, segment) are built each time they are read, and bound_ok
     is deviation < params.epsilon.  A record is a view of one row that
-    its store shares: unlike the other value types it derives its
-    values on read, so that taking a record from a store copies none of
-    them.  A pair that is not a CoprimePair, or params that are not
+    its report shares: unlike the other value types it derives its
+    values on read, so that taking a record from a report copies none
+    of them.  A pair that is not a CoprimePair, or params that are not
     EnvelopeParams, raise DomainError naming the field.
     """
 
@@ -126,28 +127,42 @@ _new = object.__new__
 _set_row, _set_params = EnvelopeRecord._setters
 
 
-class EnvelopeRecords(Frozen, Sequence):
-    """Immutable sequence of the EnvelopeRecord of every coprime
-    neighbor within radius epsilon - 1 of params.center.
+class VerificationReport(Frozen, Sequence):
+    """One (center, epsilon) run: its params, the immutable sequence of
+    the EnvelopeRecord of every coprime neighbor within radius
+    epsilon - 1 of params.center, and the summary of their rows.
 
-    EnvelopeRecords(params) runs ``_kernels_py.envelope_scan`` and keeps
-    its rows; a record, one object over its row and the params, is
-    built only when it is accessed, and a slice is a tuple of records.
-    Its one field is the params: it compares, hashes, prints, pickles
-    and copies as them, so == and hash take O(1), and unpickling or
-    copying a store scans again.  Params that are not EnvelopeParams
-    raise DomainError naming the field.
+    VerificationReport(params) runs ``_kernels_py.envelope_scan``, keeps
+    its rows in the read-only slot rows and verifies them in one pass
+    that also derives the summary: neighbor_count, all_bounds_hold
+    (every deviation < epsilon), max_deviation, max_endpoint_gap and
+    extent, the largest (x, y) of any segment endpoint ((0, 0) for no
+    records).  A row that fails raises DomainError naming its pair, and
+    params that are not EnvelopeParams raise DomainError naming the
+    field.  So every record in a report is a neighbor the kernel
+    measured for its params.
+
+    A record, one object over its row and the params, is built only
+    when it is accessed, and a slice is a tuple of records; records is
+    the report itself, and a report of no records is falsy.  Its one
+    field is the params: it compares, hashes, prints, pickles and
+    copies as them, so == and hash take O(1), and unpickling or copying
+    a report costs one scan of its disk.  The rows and the summary are
+    read-only slots that the constructor sets once.
     """
 
-    __slots__ = ("params", "_rows")
+    __slots__ = ("params", "rows", "neighbor_count", "all_bounds_hold",
+                 "max_deviation", "max_endpoint_gap", "extent")
     _fields = ("params",)
     params: EnvelopeParams
 
     def __init__(self, params: EnvelopeParams):
-        require_instance("EnvelopeRecords", "params", params, EnvelopeParams)
+        require_instance("VerificationReport", "params", params, EnvelopeParams)
         center = params.center
         rows = kernels.envelope_scan(center.p, center.q, params.radius)
-        setfields(self, params, rows)
+        setfields(self, params, rows, *_fold(rows, params.epsilon))
+
+    records = property(lambda self: self)
 
     def _record(self, row: tuple) -> EnvelopeRecord:
         # The row is the kernel's: the constructor would only compute it again.
@@ -157,48 +172,15 @@ class EnvelopeRecords(Frozen, Sequence):
         return rec
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self._record, self._rows[index]))
-        return self._record(self._rows[index])
+            return tuple(map(self._record, self.rows[index]))
+        return self._record(self.rows[index])
 
     def __iter__(self):
-        return map(self._record, self._rows)
-
-
-class VerificationReport(Frozen):
-    """One (center, epsilon) run: its params and the records of its scan.
-
-    VerificationReport(params) holds EnvelopeRecords(params), the
-    records of every coprime neighbor within radius epsilon - 1, and
-    verifies their kernel rows in one pass that also derives the
-    summary: neighbor_count, all_bounds_hold (every deviation <
-    epsilon), max_deviation, max_endpoint_gap and extent, the largest
-    (x, y) of any segment endpoint ((0, 0) for no records).  A row that
-    fails raises DomainError naming its pair, and params that are not
-    EnvelopeParams raise DomainError.  So every record in a report is a
-    neighbor the kernel measured for its params.
-
-    Its one field is the params: it compares, hashes, prints, pickles
-    and copies as them.  The records, rows and summary are read-only
-    slots that the constructor sets once.
-    Unpickling or copying a report scans again: about 0.1 s for a disk
-    of 75 k pairs (Python 3.11, one core of a shared 2-core machine).
-    """
-
-    __slots__ = ("params", "records", "rows", "neighbor_count", "all_bounds_hold",
-                 "max_deviation", "max_endpoint_gap", "extent")
-    _fields = ("params",)
-    params: EnvelopeParams
-    records: EnvelopeRecords
-
-    def __init__(self, params: EnvelopeParams):
-        require_instance("VerificationReport", "params", params, EnvelopeParams)
-        records = EnvelopeRecords(params)
-        rows = records._rows
-        setfields(self, params, records, rows, *_fold(rows, params.epsilon))
+        return map(self._record, self.rows)
 
 
 def _fold(rows: Sequence[tuple], eps: float) -> tuple:

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,7 +31,6 @@ from bezout_bezier import (
 )
 
 from bezout_bezier import _kernels_py, envelope
-from bezout_bezier.envelope import EnvelopeRecords
 from oracles import bezout_solutions_by_search
 
 
@@ -335,10 +335,25 @@ class TestBulkVerification:
 
 
 class TestEnvelopeRecords:
-    """report.records builds records on access from the rows of its own
-    scan; a store is its params."""
+    """A report is the sequence of its records: it builds each on access
+    from the rows of its own scan, and report.records is the report."""
 
     PARAMS = EnvelopeParams(Center(50, 29), 5.0)
+
+    # radius 0.01 around (10, 4), whose one point has gcd 2: no rows
+    EMPTY = EnvelopeParams(Center(10, 4), 1.01)
+
+    @pytest.mark.parametrize(
+        "params, count",
+        [(EMPTY, 0), (EnvelopeParams(Center(10, 3), 2.0), 2), (PARAMS, 32)],
+        ids=["empty", "two", "thirty-two"],
+    )
+    def test_a_report_is_the_sequence_of_its_records(self, params, count):
+        report = build_envelope(params)
+        assert len(report) == report.neighbor_count == count
+        assert report.records is report
+        # only the empty report is falsy
+        assert bool(report) is (count > 0)
 
     def test_sequence_protocol(self):
         report = build_envelope(self.PARAMS)
@@ -373,16 +388,16 @@ class TestEnvelopeRecords:
         listed = list(records)
         assert records != listed and listed != records
         assert records != tuple(listed)
-        assert repr(records) == f"EnvelopeRecords(params={self.PARAMS!r})"
+        assert repr(records) == f"VerificationReport(params={self.PARAMS!r})"
 
     def test_no_store_holds_invented_rows(self):
-        # a store's class, reached through a report, takes no rows
+        # the class of a report's records takes no rows
         params = EnvelopeParams(Center(10, 3), 2.0)
         invented = [(10, 3, 7, 2, 1, 3, 0.5, 0.0, 0.0, 0.0)]
         with pytest.raises(TypeError):
             type(build_envelope(params).records)(invented, params)
         # its one constructor scans: the record holds the kernel's deviation
-        rec = EnvelopeRecords(params)[0]
+        rec = VerificationReport(params)[0]
         assert rec == EnvelopeRecord(CoprimePair(10, 3), params)
         assert rec.deviation == pytest.approx(0.0862, abs=1e-4)
 
@@ -428,7 +443,7 @@ class TestEnvelopeRecords:
 
     def test_compare_and_hash_scan_nothing(self, monkeypatch):
         scans, records_built = [], []
-        scan, record = envelope.kernels.envelope_scan, EnvelopeRecords._record
+        scan, record = envelope.kernels.envelope_scan, VerificationReport._record
 
         def counting_scan(*args):
             scans.append(args)
@@ -439,9 +454,9 @@ class TestEnvelopeRecords:
             return record(self, row)
 
         monkeypatch.setattr(envelope.kernels, "envelope_scan", counting_scan)
-        monkeypatch.setattr(EnvelopeRecords, "_record", counting_record)
-        a, b = EnvelopeRecords(self.PARAMS), EnvelopeRecords(self.PARAMS)
-        other = EnvelopeRecords(EnvelopeParams(Center(50, 29), 4.0))
+        monkeypatch.setattr(VerificationReport, "_record", counting_record)
+        a, b = VerificationReport(self.PARAMS), VerificationReport(self.PARAMS)
+        other = VerificationReport(EnvelopeParams(Center(50, 29), 4.0))
         assert len(scans) == 3 and len(a) > 3
         assert a == b and not a != b and a != other
         assert hash(a) == hash(b) != hash(other)
@@ -455,15 +470,15 @@ class TestEnvelopeRecords:
         ]
         copies += [copy.copy(records), copy.deepcopy(records)]
         for copied in copies:
-            assert type(copied) is EnvelopeRecords and copied == records
-            assert copied._rows is not records._rows
-            assert repr(copied._rows) == repr(records._rows)
+            assert type(copied) is VerificationReport and copied == records
+            assert copied.rows is not records.rows
+            assert repr(copied.rows) == repr(records.rows)
 
 
 class TestReportBoundary:
     """A report is its params: its constructor runs the one scan and keeps
-    the rows as one EnvelopeRecords; the fold, the writers and the text
-    format read that store's rows.  No record list can enter a report."""
+    its rows; the fold, the writers and the text format read those rows.
+    No record list can enter a report."""
 
     PARAMS = EnvelopeParams(Center(10, 3), 2.0)
 
@@ -484,7 +499,7 @@ class TestReportBoundary:
         monkeypatch.setattr(envelope.kernels, "envelope_scan", recording_scan)
         report = build_envelope(self.PARAMS)
         assert report.rows is scans[0]
-        assert report.records._rows is scans[0]
+        assert report.records.rows is scans[0]
 
     def test_a_record_holds_the_numbers_the_kernel_computed(self, built):
         # its numbers cannot be given, only the pair and params
@@ -504,8 +519,9 @@ class TestReportBoundary:
         rec = EnvelopeRecord(CoprimePair(3, 5), self.PARAMS)
         with pytest.raises(TypeError):
             VerificationReport(self.PARAMS, [rec] * 2)
-        # nor a store, not even one of the report's own scan (and no store
-        # of invented rows can be built: test_no_store_holds_invented_rows)
+        # nor another report's records, not even those of its own scan (and
+        # no report of invented rows can be built:
+        # test_no_store_holds_invented_rows)
         with pytest.raises(TypeError):
             VerificationReport(self.PARAMS, built.records)
         # the kernel still measures the FAIL, per record: deviation 2.28
@@ -523,16 +539,33 @@ class TestReportBoundary:
         ]
         copies += [copy.copy(report), copy.deepcopy(report), copy.deepcopy(built)]
         for copied in copies:
-            assert type(copied.records) is EnvelopeRecords
+            assert type(copied.records) is VerificationReport
             assert copied == report and repr(copied) == repr(report)
             assert copied.rows == built.rows
             assert repr(copied.rows) == repr(built.rows)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             records = pickle.loads(pickle.dumps(built.records, protocol))
-            assert type(records) is EnvelopeRecords and records == built.records
+            assert type(records) is VerificationReport and records == built.records
 
     def test_a_pickle_holds_only_the_params(self):
         report = build_envelope(EnvelopeParams(Center(5000, 1234), 20.0))
         # 678 rows: the rows alone pickle to about 38 kB
         assert report.neighbor_count == 678
         assert len(pickle.dumps(report)) < 1000
+
+
+def test_a_report_holds_at_most_360_bytes_a_row():
+    # the rows are what a large run holds: this pins their cost, the
+    # kernel's row tuples and the list of them, at the traced peak of one
+    # build.  A first large build in a process measures the most; rows
+    # freed by earlier work can leave tuples in CPython's free lists,
+    # which the next build takes without a traced allocation.
+    build_envelope(EnvelopeParams(Center(10, 3), 2.0))
+    tracemalloc.start()
+    try:
+        report = build_envelope(EnvelopeParams(Center(100000, 30000), 40.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report) == 2902
+    assert peak <= 360 * len(report)

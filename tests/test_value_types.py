@@ -30,6 +30,7 @@ from bezout_bezier import (
     _kernels_py,
     bezout_coefficients,
     bezout_segment,
+    build_envelope,
     contact_parameter,
     coprime_neighbors,
     endpoint_gaps,
@@ -38,7 +39,6 @@ from bezout_bezier import (
     gcd,
 )
 from bezout_bezier._frozen import Frozen, setfields
-from bezout_bezier.envelope import EnvelopeRecords
 
 
 _PARAMS = EnvelopeParams(Center(10, 3), 2.0)
@@ -106,11 +106,13 @@ CASES = {
         _record(params=EnvelopeParams(Center(10, 3), 2.5)),
         _RECORD_REPR,
     ),
+    # the sequence of a report's records, as report.records reaches it:
+    # the report itself
     "EnvelopeRecords": (
         ("params",),
-        lambda: EnvelopeRecords(EnvelopeParams(Center(10, 3), 2.0)),
-        EnvelopeRecords(EnvelopeParams(Center(10, 3), 2.5)),
-        f"EnvelopeRecords(params={_PARAMS_REPR})",
+        lambda: VerificationReport(EnvelopeParams(Center(10, 3), 2.0)).records,
+        VerificationReport(EnvelopeParams(Center(10, 3), 2.5)).records,
+        f"VerificationReport(params={_PARAMS_REPR})",
     ),
     "VerificationReport": (
         ("params",),
@@ -244,9 +246,8 @@ DERIVED = {
     "QuadBezier": ("is_degenerate",),
     "EnvelopeParams": ("radius", "gap_limit"),
     "EnvelopeRecord": ("_row",),
-    "EnvelopeRecords": ("_rows",),
     "VerificationReport": (
-        "records", "rows", "neighbor_count", "all_bounds_hold", "max_deviation",
+        "rows", "neighbor_count", "all_bounds_hold", "max_deviation",
         "max_endpoint_gap", "extent",
     ),
 }
@@ -534,8 +535,10 @@ _HUGE_TEXT = "<16610-bit integer>"
             id="VerificationReport records",
         ),
         pytest.param(
-            lambda: EnvelopeRecords((10, 3, 2.0)), DomainError,
-            "EnvelopeRecords needs params of type EnvelopeParams "
+            # the records' one params check is the report's, which
+            # build_envelope reaches too
+            lambda: build_envelope((10, 3, 2.0)), DomainError,
+            "VerificationReport needs params of type EnvelopeParams "
             "(got params = (10, 3, 2.0))",
             id="tuple EnvelopeRecords params",
         ),
